@@ -6,8 +6,6 @@ binomial likelihood times the win/lose evidence weights over all biases.
 Bayesian answers with three standard noninformative priors bracket it.
 """
 
-import numpy as np
-
 from likelihood_gambles import (
     BinomialScenario,
     emit_table,
@@ -38,6 +36,6 @@ for c in (-1.0, 0.0, 1.0):
 # likelihood, equal to 1 at the observed frequency.
 scenario = BinomialScenario(10, 7)
 print("\nnormalized likelihood of selected biases after 7/10 heads:")
-for p in np.linspace(0.1, 1.0, 10):
-    bar = "#" * round(40 * normalized_binomial_likelihood(float(p), scenario))
+for p in [i / 10 for i in range(1, 11)]:
+    bar = "#" * round(40 * normalized_binomial_likelihood(p, scenario))
     print(f"  p={p:.1f}  {bar}")

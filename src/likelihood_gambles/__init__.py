@@ -51,7 +51,6 @@ from .binomial import (
     continuous_utility_vector,
     emit_table,
     format_price,
-    golden_section_maximize,
     likelihood_price,
     normalized_binomial_likelihood,
     render_table_csv,
@@ -88,7 +87,6 @@ __all__ = [
     "gamble_from_json",
     "gamble_to_json",
     "generate_gamble",
-    "golden_section_maximize",
     "implied_prior",
     "inverse_logit",
     "likelihood_price",

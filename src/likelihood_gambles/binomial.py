@@ -12,10 +12,13 @@ x/m (the binomial coefficient cancels), and the price follows from the
 logistic pricing formula.  Likelihoods are evaluated in log space so large
 ``m`` cannot underflow intermediate products.
 
-The maximizations run on a dense uniform grid refined by golden-section
-search around the best bracket.  Both objectives are continuous and smooth
-except for one kink where logit(p) crosses the premium, and that point is
-probed explicitly; results are deterministic for a fixed grid.
+The maximizations are exact.  In log space each objective is min(A, B)
+with A = log l(p) and B = A + s (logit(p) - c), s = +1 for alpha and -1 for
+beta, and B collapses to (x+s) log p + (m-x-s) log(1-p) plus a constant.
+On each side of the kink p* = inverse_logit(c) the smaller piece is either
+concave, peaking at x/m or (x+s)/m, or monotone toward the kink (x = 0 and
+x = m are the monotone cases).  So the maximum is the best value among
+p = 0, 1, p*, x/m and (x+s)/m.
 
 For comparison, three default-prior Bayesian prices of the same bet have
 closed forms: the posterior-mean success probabilities (x+1)/(m+2) for a
@@ -28,16 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Literal
-
-import numpy as np
+from typing import Literal
 
 from .gambles import GambleError
 from .pricing import UtilityVector, inverse_logit, price_from_vector
 
 __all__ = [
-    "GRID_POINTS",
-    "REFINE_TOL",
     "BinomialScenario",
     "PricingRow",
     "normalized_binomial_likelihood",
@@ -45,17 +44,11 @@ __all__ = [
     "likelihood_price",
     "bayesian_prices",
     "emit_table",
-    "golden_section_maximize",
     "format_price",
     "render_table_text",
     "render_table_csv",
     "CSV_HEADER",
 ]
-
-# Uniform probe grid over [0, 1]; the best bracket is then refined.
-GRID_POINTS = 10_001
-# Golden-section refinement stops at this bracket width.
-REFINE_TOL = 1e-10
 
 CSV_HEADER = "x,likelihood,uniform,jeffreys,novick_hall"
 
@@ -134,46 +127,6 @@ def normalized_binomial_likelihood(p: float, scenario: BinomialScenario) -> floa
     return min(1.0, math.exp(ll))
 
 
-def golden_section_maximize(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = REFINE_TOL
-) -> tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi]; returns (argmax, value).
-
-    Narrows the bracket to width ``tol`` and returns the best point actually
-    evaluated, so the value never regresses below any probe.
-    """
-    if hi < lo:
-        lo, hi = hi, lo
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    best_x, best_f = a, f(a)
-    fb = f(b)
-    if fb > best_f:
-        best_x, best_f = b, fb
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    for x_pt, f_pt in ((c, fc), (d, fd)):
-        if f_pt > best_f:
-            best_x, best_f = x_pt, f_pt
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    if fm > best_f:
-        best_x, best_f = mid, fm
-    return best_x, best_f
-
-
 def _component_max(scenario: BinomialScenario, component: Literal["alpha", "beta"]) -> float:
     """max over p of l(p) times the alpha or beta weight of a constant p."""
     m, x, c = scenario.trials, scenario.successes, scenario.premium
@@ -194,33 +147,11 @@ def _component_max(scenario: BinomialScenario, component: Literal["alpha", "beta
         t = sign * (math.log(p) - math.log1p(-p) - c)
         return min(1.0, math.exp(ll + min(0.0, t)))
 
-    grid = np.linspace(0.0, 1.0, GRID_POINTS)
-    interior = grid[1:-1]
-    logp = np.log(interior)
-    log1mp = np.log1p(-interior)
-    ll = -lognorm + x * logp + (m - x) * log1mp
-    t = sign * (logp - log1mp - c)
-    values = np.minimum(1.0, np.exp(ll + np.minimum(0.0, t)))
-    j = int(np.argmax(values))
-
-    spacing = 1.0 / (GRID_POINTS - 1)
-    probes = [float(interior[j])]
-    phat = x / m
-    if 0.0 < phat < 1.0:
-        probes.append(phat)
-    probes.append(inverse_logit(c))  # the kink of the min(1, .) weight
-
-    best = max(objective(0.0), objective(1.0), float(values[j]))
-    for p0 in probes:
-        value = objective(p0)
-        if value > best:
-            best = value
-        lo = max(0.0, p0 - spacing)
-        hi = min(1.0, p0 + spacing)
-        _, refined = golden_section_maximize(objective, lo, hi)
-        if refined > best:
-            best = refined
-    return best
+    # Candidate maximizers: the endpoints, the kink, and the modes of A and B.
+    candidates = [0.0, 1.0, inverse_logit(c), x / m]
+    if 0 <= x + sign <= m:
+        candidates.append((x + sign) / m)
+    return max(objective(p) for p in candidates)
 
 
 def continuous_utility_vector(scenario: BinomialScenario) -> UtilityVector:

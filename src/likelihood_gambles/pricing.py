@@ -5,7 +5,7 @@ the unit square (the set B: max(alpha, beta) = 1).  The point is the unique
 canonical gamble {alpha/1, beta/0} the holder finds interchangeable with the
 original, so preference between gambles reduces to the componentwise order
 on B: <a1, b1> beats <a2, b2> iff a1 >= a2 and b1 <= b2.  On B that order is
-total.
+total, and it is the order of the scalar key alpha - beta.
 
 The map itself is driven by a single taste parameter, the ambiguity premium
 c: the log-odds of the price the decision maker quotes for the fair gamble
@@ -130,17 +130,14 @@ def canonical_of_value(x: float, c: float = 0.0) -> UtilityVector:
 def compare(u: UtilityVector, v: UtilityVector) -> Ordering:
     """Total order on B: higher alpha and lower beta is better.
 
-    Components within ``VECTOR_TOL`` of each other count as tied; two vectors
-    tied in both components are ``equal``.
+    Along B the key alpha - beta rises monotonically from <0, 1> to <1, 0>,
+    so the order is a sign test on the difference of keys; keys within
+    ``VECTOR_TOL`` of each other are ``equal``.
     """
-    if abs(u.alpha - v.alpha) <= VECTOR_TOL and abs(u.beta - v.beta) <= VECTOR_TOL:
+    d = (u.alpha - u.beta) - (v.alpha - v.beta)
+    if abs(d) <= VECTOR_TOL:
         return "equal"
-    if u.alpha >= v.alpha and u.beta <= v.beta:
-        return "greater"
-    if v.alpha >= u.alpha and v.beta <= u.beta:
-        return "less"
-    # Unreachable for genuine members of B: one of any two points dominates.
-    raise GambleError(f"vectors <{u.alpha}, {u.beta}> and <{v.alpha}, {v.beta}> are incomparable")
+    return "greater" if d > 0.0 else "less"
 
 
 def _utility_pair(g: Gamble, c: float) -> tuple[float, float]:

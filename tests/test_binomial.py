@@ -18,7 +18,6 @@ from likelihood_gambles import (
     continuous_utility_vector,
     emit_table,
     format_price,
-    golden_section_maximize,
     likelihood_price,
     normalized_binomial_likelihood,
     render_table_csv,
@@ -120,22 +119,6 @@ class TestNormalizedLikelihood:
             normalized_binomial_likelihood(1.5, BinomialScenario(10, 5))
 
 
-class TestGoldenSection:
-    def test_parabola(self):
-        argmax, value = golden_section_maximize(lambda t: -(t - 0.3) ** 2, 0.0, 1.0)
-        assert argmax == pytest.approx(0.3, abs=1e-8)
-        assert value == pytest.approx(0.0, abs=1e-15)
-
-    def test_monotone_edge(self):
-        argmax, value = golden_section_maximize(lambda t: t, 0.0, 1.0)
-        assert value == pytest.approx(1.0, abs=1e-9)
-
-    def test_kinked_peak(self):
-        argmax, value = golden_section_maximize(lambda t: 1.0 - abs(t - 0.7), 0.0, 1.0)
-        assert argmax == pytest.approx(0.7, abs=1e-8)
-        assert value == pytest.approx(1.0, abs=1e-9)
-
-
 class TestInternalMaxima:
     def test_all_heads_neutral(self):
         u = continuous_utility_vector(BinomialScenario(10, 10, 0.0))
@@ -154,6 +137,16 @@ class TestInternalMaxima:
             u = continuous_utility_vector(BinomialScenario(m, x, c))
             assert u.alpha == pytest.approx(oracle_component(m, x, c, "alpha", 1_000_001), abs=2e-5)
             assert u.beta == pytest.approx(oracle_component(m, x, c, "beta", 1_000_001), abs=2e-5)
+
+    @pytest.mark.parametrize("m", [100, 1000])
+    def test_against_oracle_at_scale(self, m):
+        for x in (0, 1, m // 4, m // 2, m - 1, m):
+            for c in (-3.0, -1.0, 0.0, 1.0, 3.0):
+                u = continuous_utility_vector(BinomialScenario(m, x, c))
+                alpha = oracle_component(m, x, c, "alpha", 1_000_001)
+                beta = oracle_component(m, x, c, "beta", 1_000_001)
+                assert u.alpha == pytest.approx(alpha, abs=1e-6)
+                assert u.beta == pytest.approx(beta, abs=1e-6)
 
 
 class TestLikelihoodPrice:
@@ -174,6 +167,15 @@ class TestLikelihoodPrice:
                 BinomialScenario(10, 10 - x, 0.0)
             )
             assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_complement_symmetry_at_scale(self):
+        m = 1000
+        for c in (-1.0, 1.0):
+            for x in range(m + 1):
+                total = likelihood_price(BinomialScenario(m, x, c)) + likelihood_price(
+                    BinomialScenario(m, m - x, -c)
+                )
+                assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_strictly_increasing_in_successes(self):
         for c in (-1.0, 0.0, 1.0):

@@ -2,9 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import likelihood_gambles
 from likelihood_gambles.cli import main
 
 TWO_COINS = {
@@ -161,6 +165,24 @@ class TestDemoBinomial:
     def test_invalid_count_is_an_input_error(self, capsys):
         assert main(["demo-binomial", "-m", "10", "-x", "11"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_runs_without_numpy(self):
+        # numpy is a test-only dependency: the CLI must import and price
+        # without it, which keeps its import cost out of every start-up.
+        src = str(Path(likelihood_gambles.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "sys.modules['numpy'] = None\n"
+            "from likelihood_gambles.cli import main\n"
+            "sys.exit(main(['demo-binomial', '-m', '10']))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.strip().splitlines()
+        assert [line.split()[1] for line in lines[1:]] == LIKELIHOOD_COLUMN
 
 
 class TestConformanceCommand:

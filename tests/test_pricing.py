@@ -210,6 +210,15 @@ class TestPrefer:
         b = Gamble.from_prospects([(0.1, 1.0), (1.0, 0.0)])
         assert prefer(a, b, 0.0) == "greater"
 
+    def test_maximum_likelihood_just_below_one_is_comparable(self):
+        # The second vector's alpha sits 5e-13 below 1, inside the tolerance
+        # of B, while its beta is lower: neither vector dominates
+        # componentwise, yet the order on B is total.
+        a = Gamble.from_prospects([(1.0, 0.6)])
+        b = Gamble.from_prospects([(1 - 5e-13, 0.7)])
+        assert prefer(a, b) == "less"
+        assert prefer(b, a) == "greater"
+
 
 class TestImpliedPrior:
     def test_neutral(self):
