@@ -172,24 +172,16 @@ def bayesian_prices(scenario: BinomialScenario) -> tuple[float, float, float]:
     return (x + 1) / (m + 2), (x + 0.5) / (m + 1), x / m
 
 
+def _pricing_row(scenario: BinomialScenario) -> PricingRow:
+    """The scenario's likelihood price next to its three Bayesian prices."""
+    return PricingRow(scenario.successes, likelihood_price(scenario), *bayesian_prices(scenario))
+
+
 def emit_table(m: int, c: float = 0.0) -> list[PricingRow]:
     """All rows x = 0..m comparing the likelihood price with the Bayesian ones."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise GambleError(f"trials must be a positive integer, got {m!r}")
-    rows = []
-    for x in range(m + 1):
-        scenario = BinomialScenario(m, x, c)
-        uniform, jeffreys, novick_hall = bayesian_prices(scenario)
-        rows.append(
-            PricingRow(
-                successes=x,
-                likelihood=likelihood_price(scenario),
-                uniform=uniform,
-                jeffreys=jeffreys,
-                novick_hall=novick_hall,
-            )
-        )
-    return rows
+    return [_pricing_row(BinomialScenario(m, x, c)) for x in range(m + 1)]
 
 
 def format_price(value: float, digits: int = 4) -> str:

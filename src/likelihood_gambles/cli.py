@@ -19,10 +19,9 @@ from typing import Sequence
 from .binomial import (
     BinomialScenario,
     PricingRow,
-    bayesian_prices,
+    _pricing_row,
     emit_table,
     format_price,
-    likelihood_price,
     render_table_csv,
     render_table_text,
 )
@@ -126,17 +125,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _rows(args: argparse.Namespace, c: float) -> list[PricingRow]:
     if args.successes is None:
         return emit_table(args.trials, c)
-    scenario = BinomialScenario(args.trials, args.successes, c)
-    uniform, jeffreys, novick_hall = bayesian_prices(scenario)
-    return [
-        PricingRow(
-            successes=args.successes,
-            likelihood=likelihood_price(scenario),
-            uniform=uniform,
-            jeffreys=jeffreys,
-            novick_hall=novick_hall,
-        )
-    ]
+    return [_pricing_row(BinomialScenario(args.trials, args.successes, c))]
 
 
 def _cmd_demo_binomial(args: argparse.Namespace) -> int:

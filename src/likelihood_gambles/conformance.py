@@ -40,6 +40,7 @@ from .gambles import (
 from .pricing import (
     Ordering,
     UtilityVector,
+    _require_premium,
     _utility_pair,
     compare,
     price_from_vector,
@@ -654,8 +655,7 @@ def run_conformance(
     test prove the suite catches a broken implementation.  Failures are
     report content, not exceptions.
     """
-    if not math.isfinite(float(c)):
-        raise GambleError(f"ambiguity premium must be finite, got {c}")
+    c = _require_premium(c)
     selected = list(_PROPERTIES)
     if properties is not None:
         known = {prop.name: prop for prop in _PROPERTIES}
@@ -663,6 +663,6 @@ def run_conformance(
         if unknown:
             raise GambleError(f"unknown properties: {unknown}")
         selected = [known[name] for name in properties]
-    ctx = _Ctx(premium=float(c), config=config, pair=utility_fn or _utility_pair)
+    ctx = _Ctx(premium=c, config=config, pair=utility_fn or _utility_pair)
     results = tuple(_run_property(prop, config, ctx) for prop in selected)
-    return ConformanceReport(premium=float(c), config=config, results=results)
+    return ConformanceReport(premium=c, config=config, results=results)

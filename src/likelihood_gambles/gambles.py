@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Any, Iterable, Mapping, Sequence, Union
 
@@ -72,10 +73,14 @@ class InfiniteLogitError(GambleError):
     """logit() was requested at 0 or 1, where it diverges."""
 
 
-def _require_unit(value: Any, name: str) -> float:
+def _require_real(value: Any, name: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise GambleError(f"{name} must be a real number, got {value!r}")
-    x = float(value)
+    return float(value)
+
+
+def _require_unit(value: Any, name: str) -> float:
+    x = _require_real(value, name)
     if not (0.0 <= x <= 1.0):  # also rejects NaN
         raise GambleError(f"{name} must lie in [0, 1], got {x}")
     return x
@@ -141,13 +146,16 @@ class Gamble:
         return self.constant is not None
 
     def _normal_key(self) -> tuple:
+        """The constant, or the (likelihood, constant) pairs of the flattened form."""
         if self.is_constant:
             return ("constant", self.constant)
-        flat = flatten(self)
-        if flat.is_constant:
-            return ("constant", flat.constant)
-        pairs = tuple((p.likelihood, p.reward.constant) for p in flat.prospects)
-        return ("prospects", pairs)
+        best = _leaf_likelihoods(self)
+        top = max(best.values())
+        if top != 1.0:
+            # Tolerated drift from within-tolerance inputs; restore exactness.
+            best = {value: lik / top for value, lik in best.items()}
+        ordered = sorted(best.items(), key=lambda item: (-item[1], item[0]))
+        return ("prospects", tuple((lik, value) for value, lik in ordered))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gamble):
@@ -261,35 +269,43 @@ def compound_likelihood(l1: float, l2: float) -> float:
     return _require_unit(l1, "l1") * _require_unit(l2, "l2")
 
 
+def _leaf_likelihoods(g: Gamble) -> dict[float, float]:
+    """Each constant reachable from ``g`` mapped to its largest path likelihood.
+
+    A path's likelihood is the product of the likelihoods from the root down
+    to the constant.  Flattening, equality and utility all read this map, and
+    utility loses nothing by it: scaling by a nonnegative likelihood is
+    monotone, so the maximum distributes over paths and only the likeliest
+    path to each constant can attain it.  Compound rewards wait on an
+    explicit stack, so depth is bounded by memory, not by recursion.
+    """
+    if g.is_constant:
+        return {g.constant: 1.0}
+    best: dict[float, float] = {}
+    stack: list[tuple[float, Gamble]] = [(1.0, g)]
+    while stack:
+        scale, node = stack.pop()
+        for p in node.prospects:
+            lik = scale * p.likelihood
+            reward = p.reward
+            if reward.constant is None:
+                stack.append((lik, reward))
+            elif lik > best.get(reward.constant, -1.0):
+                best[reward.constant] = lik
+    return best
+
+
 def flatten(g: Gamble) -> Gamble:
     """Equivalent gamble of depth <= 1.
 
-    A prospect whose reward is itself compound is replaced by that reward's
-    prospects with likelihoods multiplied through, repeatedly, until every
-    reward is a constant.  Prospects sharing a constant reward then collapse
-    to one prospect carrying the maximum likelihood (a smaller likelihood on
-    the same reward can never win the pointwise maximum that defines
-    utility).  Constants pass through unchanged; the reduction preserves
-    utility for every ambiguity premium.
+    Each reachable constant becomes one prospect carrying its largest path
+    likelihood, ordered by likelihood (descending), then value.  Constants
+    pass through unchanged; the reduction preserves utility for every
+    ambiguity premium.
     """
     if g.is_constant:
         return g
-    best: dict[float, float] = {}
-    stack: list[tuple[float, Gamble]] = [(p.likelihood, p.reward) for p in reversed(g.prospects)]
-    while stack:
-        lik, reward = stack.pop()
-        if reward.is_constant:
-            value = reward.constant
-            if lik > best.get(value, -1.0):
-                best[value] = lik
-        else:
-            stack.extend((lik * p.likelihood, p.reward) for p in reversed(reward.prospects))
-    top = max(best.values())
-    if top != 1.0:
-        # Tolerated drift from within-tolerance inputs; restore exactness.
-        best = {value: lik / top for value, lik in best.items()}
-    ordered = sorted(best.items(), key=lambda item: (-item[1], item[0]))
-    return Gamble.from_prospects((lik, value) for value, lik in ordered)
+    return Gamble.from_prospects(g._normal_key()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +350,12 @@ def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
     for entry in entries:
         if not isinstance(entry, Mapping) or "likelihood" not in entry or "reward" not in entry:
             raise GambleError("each prospect needs 'likelihood' and 'reward' keys")
-        lik = float(entry["likelihood"])
-        if not (lik >= 0.0) or math.isinf(lik):
-            raise GambleError(f"likelihood must be finite and >= 0, got {lik}")
-        raw.append(lik)
+        raw.append(_require_real(entry["likelihood"], "likelihood"))
         rewards.append(gamble_from_json(entry["reward"], strict=strict))
+    likelihoods = normalize_likelihoods(raw)
     top = max(raw)
     if strict and abs(top - 1.0) > MAX_LIKELIHOOD_TOL:
         raise GambleError(f"strict mode: maximum likelihood is {top}, expected 1")
-    likelihoods = normalize_likelihoods(raw)
     return Gamble(prospects=tuple(Prospect(l, r) for l, r in zip(likelihoods, rewards)))
 
 
@@ -354,14 +367,29 @@ def dump_gamble(g: Gamble, fp: IO[str] | None = None) -> str:
     return text
 
 
+def _read_json(source: str | IO[str]) -> Any:
+    """Decode JSON from a file path or open text stream.
+
+    The stdlib decoder spends three levels of the recursion limit per gamble
+    level; deeper input raises :class:`GambleError`, not RecursionError.
+    Integers parse as floats, so one past the float range reads as inf,
+    which validation rejects, instead of overflowing on conversion.
+    """
+    try:
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as fh:
+                return json.load(fh, parse_int=float)
+        return json.load(source, parse_int=float)
+    except RecursionError:
+        raise GambleError(
+            "input nests too deeply: the JSON decoder reads gambles to about "
+            f"{sys.getrecursionlimit() // 3} levels"
+        ) from None
+
+
 def load_gamble(source: str | IO[str], strict: bool = False) -> Gamble:
     """Read a gamble from a file path or open text stream."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    else:
-        obj = json.load(source)
-    return gamble_from_json(obj, strict=strict)
+    return gamble_from_json(_read_json(source), strict=strict)
 
 
 def model_from_json(obj: Any) -> ModelSpec:
@@ -373,9 +401,4 @@ def model_from_json(obj: Any) -> ModelSpec:
 
 def load_model(source: str | IO[str]) -> ModelSpec:
     """Read a model specification from a file path or open text stream."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    else:
-        obj = json.load(source)
-    return model_from_json(obj)
+    return model_from_json(_read_json(source))

@@ -16,7 +16,9 @@ constant utility x in (0, 1),
 
 with the limiting vectors <0, 1> at x = 0 and <1, 0> at x = 1.  A compound
 gamble's vector is the pointwise maximum of its likelihood-scaled reward
-vectors, and the price of any gamble comes back through the logistic:
+vectors; unrolled, alpha = max over root-to-constant paths of L * alpha(x),
+with L the product of the likelihoods along the path and x the constant it
+ends at, and likewise beta.  The price comes back through the logistic:
 
     price = inverse_logit(ln(alpha / beta) + c)
 
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .gambles import Gamble, GambleError, InfiniteLogitError
+from .gambles import Gamble, GambleError, InfiniteLogitError, _leaf_likelihoods, _require_unit
 
 __all__ = [
     "VECTOR_TOL",
@@ -118,12 +120,7 @@ def canonical_of_value(x: float, c: float = 0.0) -> UtilityVector:
     The endpoints use the continuous limits <0, 1> and <1, 0>.  The value is
     recoverable: pricing {alpha/1, beta/0} at the same premium returns ``x``.
     """
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise GambleError(f"value must be a real number, got {x!r}")
-    x = float(x)
-    if not (0.0 <= x <= 1.0):
-        raise GambleError(f"value must lie in [0, 1], got {x}")
-    alpha, beta = _canonical_pair(x, _require_premium(c))
+    alpha, beta = _canonical_pair(_require_unit(x, "value"), _require_premium(c))
     return UtilityVector(alpha, beta)
 
 
@@ -141,15 +138,13 @@ def compare(u: UtilityVector, v: UtilityVector) -> Ordering:
 
 
 def _utility_pair(g: Gamble, c: float) -> tuple[float, float]:
-    """Recursive (alpha, beta); intermediate scaled pairs may leave B."""
-    if g.is_constant:
-        return _canonical_pair(g.constant, c)
-    alpha = 0.0
-    beta = 0.0
-    for p in g.prospects:
-        a, b = _utility_pair(p.reward, c)
-        alpha = max(alpha, p.likelihood * a)
-        beta = max(beta, p.likelihood * b)
+    """Raw (alpha, beta): the largest path-likelihood-scaled constant pair."""
+    alpha = beta = 0.0
+    for value, lik in _leaf_likelihoods(g).items():
+        a, b = _canonical_pair(value, c)
+        a, b = lik * a, lik * b
+        alpha = a if a > alpha else alpha
+        beta = b if b > beta else beta
     return alpha, beta
 
 

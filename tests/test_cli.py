@@ -227,3 +227,32 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "likelihood", ["abc", [1], None, "0.5", True, 10**400],
+        ids=["string", "array", "null", "numeric-string", "bool", "huge-integer"],
+    )
+    def test_malformed_likelihood(self, gamble_file, capsys, likelihood):
+        path = gamble_file({"prospects": [{"likelihood": likelihood, "reward": {"constant": 0.5}}]})
+        assert main(["price", path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lgamble: error:")
+
+    def test_nesting_past_the_decoder_bound(self, tmp_path, capsys):
+        # 400 levels nest the JSON 1200 deep, past the decoder's recursion
+        # budget; the text is built flat so the test itself never recurses.
+        levels = 400
+        text = (
+            '{"prospects": [{"likelihood": 1.0, "reward": ' * levels
+            + '{"constant": 0.5}'
+            + "}]}" * levels
+        )
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        bound = f"about {sys.getrecursionlimit() // 3} levels"
+        for argv in (["price", str(path)], ["reduce", str(path)],
+                     ["compare", str(path), str(path)]):
+            assert main(argv) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("lgamble: error:")
+            assert bound in lines[0]

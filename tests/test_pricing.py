@@ -22,9 +22,35 @@ from likelihood_gambles import (
     price,
     utility_of_gamble,
 )
+from likelihood_gambles.conformance import GenConfig, generate_gamble
 
 unit_open = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
 premiums = st.floats(min_value=-30.0, max_value=30.0)
+
+
+def recursive_pair(g, c):
+    """The paper's definition, read literally: a constant's canonical vector,
+    or the pointwise maximum of the likelihood-scaled reward vectors."""
+    if g.is_constant:
+        u = canonical_of_value(g.constant, c)
+        return u.alpha, u.beta
+    alpha = beta = 0.0
+    for p in g.prospects:
+        a, b = recursive_pair(p.reward, c)
+        alpha = max(alpha, p.likelihood * a)
+        beta = max(beta, p.likelihood * b)
+    return alpha, beta
+
+
+def chain(levels):
+    """A gamble nested ``levels`` deep, one constant prospect beside each level."""
+    g = Gamble.from_value(0.3)
+    for i in range(levels):
+        if i % 2:
+            g = Gamble.from_prospects([(0.999, g), (1.0, (i % 7) / 7)])
+        else:
+            g = Gamble.from_prospects([(1.0, g), (0.5, (i % 11) / 11)])
+    return g
 
 
 class TestLogit:
@@ -163,6 +189,35 @@ class TestUtilityOfGamble:
         u = utility_of_gamble(g, 0.0)
         # 0.8 * <2/3, 1> never beats 1.0 * <1, 1> in either component.
         assert (u.alpha, u.beta) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 0.7])
+    def test_matches_recursive_definition(self, c):
+        for seed in range(250):
+            g = generate_gamble(GenConfig(max_depth=5, max_branching=3, seed=seed))
+            u = utility_of_gamble(g, c)
+            alpha, beta = recursive_pair(g, c)
+            assert u.alpha == pytest.approx(alpha, abs=1e-12), seed
+            assert u.beta == pytest.approx(beta, abs=1e-12), seed
+
+    def test_deep_chain(self):
+        # Far past the interpreter's recursion limit: every operation walks
+        # the gamble with an explicit stack.  A RecursionError is replaced by
+        # a plain failure: its traceback holds a thousand frames whose deep
+        # locals pytest compares, which takes minutes.
+        g = chain(5000)
+        cs = (-1.0, 0.0, 0.7)
+        try:
+            flat = flatten(g)
+            same = g == flat and hash(g) == hash(flat)
+            prices = [(price(g, c), price(flat, c)) for c in cs]
+            orders = [prefer(g, flat, c) for c in cs]
+        except RecursionError:
+            raise AssertionError("a 5000-level gamble exhausted the recursion limit") from None
+        assert len(flat.prospects) == 18  # 0.3, k/7 and k/11, with 0 shared
+        assert same
+        for deep, reduced in prices:
+            assert deep == pytest.approx(reduced, abs=1e-12)
+        assert orders == ["equal"] * len(cs)
 
 
 class TestPrice:
