@@ -24,8 +24,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import IO, Any, Iterable, Mapping, Sequence, Union
+from typing import IO, Any, Union
 
 __all__ = [
     "MAX_LIKELIHOOD_TOL",
@@ -89,7 +90,7 @@ def _require_unit(value: Any, name: str) -> float:
 GambleLike = Union["Gamble", float, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prospect:
     """One (likelihood, reward) pair: a model in the context of data and an action."""
 
@@ -97,12 +98,16 @@ class Prospect:
     reward: "Gamble"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "likelihood", _require_unit(self.likelihood, "likelihood"))
+        # An in-range float needs no conversion; anything else is checked,
+        # coerced or rejected by _require_unit.
+        lik = self.likelihood
+        if not (type(lik) is float and 0.0 <= lik <= 1.0):
+            object.__setattr__(self, "likelihood", _require_unit(lik, "likelihood"))
         if not isinstance(self.reward, Gamble):
             raise GambleError(f"reward must be a Gamble, got {type(self.reward).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Gamble:
     """A constant utility in [0, 1] or a nonempty tuple of prospects.
 
@@ -120,13 +125,17 @@ class Gamble:
     prospects: tuple[Prospect, ...] = ()
 
     def __post_init__(self) -> None:
-        if (self.constant is None) == (not self.prospects):
+        constant, prospects = self.constant, self.prospects
+        if (constant is None) == (not prospects):
             raise GambleError("a gamble is either a constant or a nonempty set of prospects")
-        if self.constant is not None:
-            object.__setattr__(self, "constant", _require_unit(self.constant, "constant"))
+        if constant is not None:
+            if not (type(constant) is float and 0.0 <= constant <= 1.0):
+                object.__setattr__(self, "constant", _require_unit(constant, "constant"))
             return
-        object.__setattr__(self, "prospects", tuple(self.prospects))
-        top = max(p.likelihood for p in self.prospects)
+        if type(prospects) is not tuple:
+            prospects = tuple(prospects)
+            object.__setattr__(self, "prospects", prospects)
+        top = max([p.likelihood for p in prospects])
         if abs(top - 1.0) > MAX_LIKELIHOOD_TOL:
             raise GambleError(f"maximum prospect likelihood must be 1, got {top}")
 
@@ -192,7 +201,13 @@ class ModelSpec:
     payoff: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        probs = {str(k): float(v) for k, v in dict(self.probabilities).items()}
+        try:
+            probs = {
+                str(k): _require_real(v, f"probability of {k!r}")
+                for k, v in dict(self.probabilities).items()
+            }
+        except GambleError as exc:
+            raise InvalidModelError(str(exc)) from None
         pays = {str(k): _require_unit(v, f"payoff[{k!r}]") for k, v in dict(self.payoff).items()}
         if not probs:
             raise InvalidModelError("a model needs at least one outcome")
@@ -229,16 +244,18 @@ def normalize_likelihoods(raw: Sequence[float]) -> list[float]:
     is impossible under every model) and :class:`GambleError` on negative or
     non-finite entries.
     """
-    values = list(raw)
+    values = []
+    for v in raw:
+        x = float(v)
+        if not (0.0 <= x < math.inf):  # also rejects NaN
+            raise GambleError(f"likelihoods must be finite and >= 0, got {v}")
+        values.append(x)
     if not values:
         raise GambleError("need at least one likelihood")
-    for v in values:
-        if not (float(v) >= 0.0) or math.isinf(float(v)):
-            raise GambleError(f"likelihoods must be finite and >= 0, got {v}")
-    top = max(float(v) for v in values)
+    top = max(values)
     if top == 0.0:
         raise DegenerateEvidenceError("evidence has probability 0 under every model")
-    return [float(v) / top for v in values]
+    return [x / top for x in values]
 
 
 def build_gamble(models: Sequence[ModelSpec], evidence_probabilities: Sequence[float]) -> Gamble:
@@ -259,9 +276,15 @@ def build_gamble(models: Sequence[ModelSpec], evidence_probabilities: Sequence[f
 
 def depth(g: Gamble) -> int:
     """Nesting depth: 0 for constants, 1 + deepest reward otherwise."""
-    if g.is_constant:
-        return 0
-    return 1 + max(depth(p.reward) for p in g.prospects)
+    deepest = 0
+    stack = [(0, g)]
+    while stack:
+        level, node = stack.pop()
+        if node.constant is None:
+            level += 1
+            deepest = max(deepest, level)
+            stack.extend((level, p.reward) for p in node.prospects)
+    return deepest
 
 
 def compound_likelihood(l1: float, l2: float) -> float:
@@ -334,34 +357,74 @@ def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
 
     Un-normalized likelihoods are accepted and divided by their maximum at
     each level; with ``strict=True`` a maximum differing from 1 is rejected
-    instead.
+    instead.  Checks run depth first in document order: an entry's keys and
+    likelihood before its reward, and a level's normalization once all of
+    its rewards are built.  Open levels wait on an explicit stack, so depth
+    is bounded by memory, not by recursion.
     """
-    if not isinstance(obj, Mapping):
-        raise GambleError(f"expected a JSON object, got {type(obj).__name__}")
-    if "constant" in obj:
-        return Gamble.from_value(obj["constant"])
-    if "prospects" not in obj:
-        raise GambleError("gamble object needs a 'constant' or 'prospects' key")
-    entries = obj["prospects"]
-    if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)) or not entries:
-        raise GambleError("'prospects' must be a nonempty array")
-    raw: list[float] = []
-    rewards: list[Gamble] = []
-    for entry in entries:
+    # One frame per open level: its entries, and the raw likelihoods and
+    # built rewards of the entries read so far.
+    stack: list[tuple[Sequence, list[float], list[Gamble]]] = []
+    node = obj
+    while True:
+        if not isinstance(node, Mapping):
+            raise GambleError(f"expected a JSON object, got {type(node).__name__}")
+        if "constant" in node:
+            built: Gamble | None = Gamble(constant=node["constant"])
+        else:
+            if "prospects" not in node:
+                raise GambleError("gamble object needs a 'constant' or 'prospects' key")
+            entries = node["prospects"]
+            if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)) or not entries:
+                raise GambleError("'prospects' must be a nonempty array")
+            stack.append((entries, [], []))
+            built = None
+        # Hand finished levels up until one has an entry left to read.
+        while True:
+            if not stack:
+                return built
+            entries, raw, rewards = stack[-1]
+            if built is not None:
+                rewards.append(built)
+            if len(rewards) < len(entries):
+                break
+            stack.pop()
+            likelihoods = normalize_likelihoods(raw)
+            if strict and abs(max(raw) - 1.0) > MAX_LIKELIHOOD_TOL:
+                raise GambleError(f"strict mode: maximum likelihood is {max(raw)}, expected 1")
+            built = Gamble(prospects=tuple(map(Prospect, likelihoods, rewards)))
+        entry = entries[len(rewards)]
         if not isinstance(entry, Mapping) or "likelihood" not in entry or "reward" not in entry:
             raise GambleError("each prospect needs 'likelihood' and 'reward' keys")
-        raw.append(_require_real(entry["likelihood"], "likelihood"))
-        rewards.append(gamble_from_json(entry["reward"], strict=strict))
-    likelihoods = normalize_likelihoods(raw)
-    top = max(raw)
-    if strict and abs(top - 1.0) > MAX_LIKELIHOOD_TOL:
-        raise GambleError(f"strict mode: maximum likelihood is {top}, expected 1")
-    return Gamble(prospects=tuple(Prospect(l, r) for l, r in zip(likelihoods, rewards)))
+        lik = entry["likelihood"]
+        raw.append(lik if type(lik) is float else _require_real(lik, "likelihood"))
+        node = entry["reward"]
 
 
 def dump_gamble(g: Gamble, fp: IO[str] | None = None) -> str:
-    """Serialize a gamble to JSON text; also write it to ``fp`` if given."""
-    text = json.dumps(gamble_to_json(g))
+    """Serialize a gamble to JSON text; also write it to ``fp`` if given.
+
+    The text equals ``json.dumps(gamble_to_json(g))``.  It is written from
+    an explicit stack of pending gambles and closing brackets, so any depth
+    that fits in memory serializes.
+    """
+    parts: list[str] = []
+    stack: list[Gamble | str] = [g]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            parts.append(node)
+        elif node.constant is not None:
+            parts.append(f'{{"constant": {node.constant!r}}}')
+        else:
+            parts.append('{"prospects": [')
+            stack.append("]}")
+            prospects = node.prospects
+            for i in range(len(prospects) - 1, -1, -1):
+                p = prospects[i]
+                head = f'{", " if i else ""}{{"likelihood": {p.likelihood!r}, "reward": '
+                stack += ("}", p.reward, head)
+    text = "".join(parts)
     if fp is not None:
         fp.write(text)
     return text
@@ -380,6 +443,8 @@ def _read_json(source: str | IO[str]) -> Any:
             with open(source, "r", encoding="utf-8") as fh:
                 return json.load(fh, parse_int=float)
         return json.load(source, parse_int=float)
+    except UnicodeDecodeError as exc:
+        raise GambleError(f"input is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise GambleError(
             "input nests too deeply: the JSON decoder reads gambles to about "

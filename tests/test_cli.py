@@ -238,6 +238,13 @@ class TestErrorHandling:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("lgamble: error:")
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["price", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lgamble: error:")
+
     def test_nesting_past_the_decoder_bound(self, tmp_path, capsys):
         # 400 levels nest the JSON 1200 deep, past the decoder's recursion
         # budget; the text is built flat so the test itself never recurses.

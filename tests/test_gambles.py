@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,8 @@ from likelihood_gambles import (
     model_from_json,
     normalize_likelihoods,
 )
+from likelihood_gambles.conformance import GenConfig, generate_gamble
+from likelihood_gambles.gambles import MAX_LIKELIHOOD_TOL
 
 FAIR_COIN = ModelSpec({"head": 0.5, "tail": 0.5}, {"head": 1.0, "tail": 0.0})
 BIAS_COIN = ModelSpec({"head": 0.4, "tail": 0.6}, {"head": 1.0, "tail": 0.0})
@@ -39,6 +42,87 @@ def constants(g: Gamble) -> set[float]:
 
 def as_pairs(g: Gamble) -> set[tuple[float, float]]:
     return {(p.likelihood, p.reward.constant) for p in g.prospects}
+
+
+def generated(seeds=range(200)) -> list[Gamble]:
+    return [generate_gamble(GenConfig(max_depth=5, max_branching=3, seed=s)) for s in seeds]
+
+
+def reference_from_json(obj, strict=False):
+    """The loader's contract, read recursively: checks run depth first in
+    document order, and each level is normalized after its rewards."""
+    if not isinstance(obj, dict):
+        raise GambleError(f"expected a JSON object, got {type(obj).__name__}")
+    if "constant" in obj:
+        return Gamble.from_value(obj["constant"])
+    if "prospects" not in obj:
+        raise GambleError("gamble object needs a 'constant' or 'prospects' key")
+    entries = obj["prospects"]
+    if not isinstance(entries, list) or not entries:
+        raise GambleError("'prospects' must be a nonempty array")
+    raw, rewards = [], []
+    for entry in entries:
+        if not isinstance(entry, dict) or "likelihood" not in entry or "reward" not in entry:
+            raise GambleError("each prospect needs 'likelihood' and 'reward' keys")
+        lik = entry["likelihood"]
+        if not isinstance(lik, (int, float)) or isinstance(lik, bool):
+            raise GambleError(f"likelihood must be a real number, got {lik!r}")
+        raw.append(float(lik))
+        rewards.append(reference_from_json(entry["reward"], strict))
+    likelihoods = normalize_likelihoods(raw)
+    if strict and abs(max(raw) - 1.0) > MAX_LIKELIHOOD_TOL:
+        raise GambleError(f"strict mode: maximum likelihood is {max(raw)}, expected 1")
+    return Gamble(prospects=tuple(Prospect(l, r) for l, r in zip(likelihoods, rewards)))
+
+
+def assert_same_error(obj, strict=False):
+    """``gamble_from_json`` raises the reference's error type and message; returns that error."""
+    with pytest.raises(GambleError) as want:
+        reference_from_json(obj, strict)
+    with pytest.raises(GambleError) as got:
+        gamble_from_json(obj, strict)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    return got.value
+
+
+def unnormalized(obj, scale=2.5):
+    """The dict form with each level's likelihoods scaled by a level-specific factor."""
+    if "constant" in obj:
+        return dict(obj)
+    return {
+        "prospects": [
+            {"likelihood": e["likelihood"] * scale, "reward": unnormalized(e["reward"], scale * 0.7)}
+            for e in obj["prospects"]
+        ]
+    }
+
+
+def levels(obj):
+    """Every compound level of a dict-form gamble, in document order."""
+    if "prospects" in obj:
+        yield obj
+        for entry in obj["prospects"]:
+            yield from levels(entry["reward"])
+
+
+# Each fault edits one level of a valid dict-form gamble in place.
+FAULTS = {
+    "not-an-object": lambda level: level["prospects"][0].update(reward=[1]),
+    "no-key": lambda level: level["prospects"][0].update(reward={"value": 0.5}),
+    "empty-prospects": lambda level: level.update(prospects=[]),
+    "string-prospects": lambda level: level.update(prospects="ab"),
+    "entry-not-object": lambda level: level["prospects"].append(0.5),
+    "entry-without-reward": lambda level: level["prospects"][-1].pop("reward"),
+    "string-likelihood": lambda level: level["prospects"][-1].update(likelihood="0.5"),
+    "bool-likelihood": lambda level: level["prospects"][0].update(likelihood=True),
+    "negative-likelihood": lambda level: level["prospects"][-1].update(likelihood=-0.5),
+    "nan-likelihood": lambda level: level["prospects"][0].update(likelihood=math.nan),
+    "infinite-likelihood": lambda level: level["prospects"][-1].update(likelihood=math.inf),
+    "all-zero": lambda level: [e.update(likelihood=0.0) for e in level["prospects"]],
+    "constant-out-of-range": lambda level: level["prospects"][-1].update(reward={"constant": 1.5}),
+    "constant-null": lambda level: level["prospects"][0].update(reward={"constant": None}),
+    "constant-string": lambda level: level["prospects"][-1].update(reward={"constant": "x"}),
+}
 
 
 class TestConstruction:
@@ -77,6 +161,27 @@ class TestConstruction:
         with pytest.raises(Exception):
             g.constant = 0.7
 
+    def test_integers_become_floats(self):
+        g = Gamble.from_value(1)
+        assert type(g.constant) is float
+        assert type(Prospect(1, g).likelihood) is float
+
+    def test_float_subclasses_become_floats(self):
+        numpy = pytest.importorskip("numpy")
+        assert type(Gamble.from_value(numpy.float64(0.5)).constant) is float
+        assert type(Prospect(numpy.float64(0.5), Gamble.from_value(0.5)).likelihood) is float
+
+    @pytest.mark.parametrize("bad", [True, math.nan, "0.5", None], ids=["bool", "nan", "str", "none"])
+    def test_non_real_values_rejected(self, bad):
+        with pytest.raises(GambleError):
+            Prospect(bad, Gamble.from_value(0.5))
+        with pytest.raises(GambleError):
+            Gamble.from_value(bad)
+
+    def test_prospects_are_stored_as_a_tuple(self):
+        g = Gamble(prospects=[Prospect(1.0, Gamble.from_value(0.5))])
+        assert type(g.prospects) is tuple
+
 
 class TestExpectedUtility:
     def test_fair_coin_bet_on_head(self):
@@ -105,6 +210,13 @@ class TestExpectedUtility:
     def test_payoffs_must_be_utilities(self):
         with pytest.raises(GambleError):
             ModelSpec({"a": 1.0}, {"a": 2.0})
+
+    @pytest.mark.parametrize("bad", ["abc", None, "0.5", True], ids=["str", "null", "numeric-str", "bool"])
+    def test_probabilities_must_be_real_numbers(self, bad):
+        with pytest.raises(InvalidModelError, match="probability of 'head'"):
+            ModelSpec({"head": bad, "tail": 0.5}, {"head": 1.0, "tail": 0.0})
+        with pytest.raises(InvalidModelError, match="probability of 'head'"):
+            model_from_json({"probabilities": {"head": bad, "tail": 0.5}, "payoff": {"head": 1.0}})
 
 
 class TestNormalizeLikelihoods:
@@ -318,6 +430,56 @@ class TestJson:
     def test_model_missing_keys(self):
         with pytest.raises(InvalidModelError):
             model_from_json({"probabilities": {"a": 1.0}})
+
+    def test_dump_matches_json_dumps(self):
+        for seed, g in enumerate(generated()):
+            for form in (g, flatten(g)):
+                assert dump_gamble(form) == json.dumps(gamble_to_json(form)), seed
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_loader_matches_recursive_reference(self, strict):
+        for seed, g in enumerate(generated()):
+            obj = unnormalized(gamble_to_json(g)) if not strict else gamble_to_json(g)
+            want = gamble_to_json(reference_from_json(obj, strict))
+            assert gamble_to_json(gamble_from_json(obj, strict)) == want, seed
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_loader_reports_the_reference_error(self, fault, strict):
+        checked = 0
+        for g in generated(range(40)):
+            base = gamble_to_json(g) if strict else unnormalized(gamble_to_json(g))
+            for index in range(sum(1 for _ in levels(base))):
+                obj = json.loads(json.dumps(base))
+                FAULTS[fault](list(levels(obj))[index])
+                assert_same_error(obj, strict)
+                checked += 1
+        assert checked > 40
+
+    def test_loader_reports_the_first_of_two_errors(self):
+        rng = random.Random(0)
+        checked = 0
+        for g in generated(range(20)):
+            base = unnormalized(gamble_to_json(g))
+            if g.is_constant:
+                continue
+            for first in sorted(FAULTS):
+                for second in sorted(FAULTS):
+                    obj = json.loads(json.dumps(base))
+                    targets = list(levels(obj))
+                    FAULTS[first](rng.choice(targets))
+                    try:
+                        FAULTS[second](rng.choice(targets))
+                    except (LookupError, AttributeError):
+                        continue  # the first fault removed what the second edits
+                    assert_same_error(obj)
+                    checked += 1
+        assert checked > 1000
+
+    def test_strict_mode_reports_the_reference_error(self):
+        inner = {"prospects": [{"likelihood": 0.5, "reward": {"constant": 0.2}}]}
+        obj = {"prospects": [{"likelihood": 1.0, "reward": inner}]}
+        assert "strict mode" in str(assert_same_error(obj, strict=True))
 
     def test_dump_is_a_fixpoint_under_reload(self):
         g = Gamble.from_prospects([(1.0, 0.9), (1 / 3, 0.2)])

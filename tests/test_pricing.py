@@ -1,6 +1,9 @@
 """Utility representation, the order on B, and the logistic pricing formula."""
 
+import io
+import json
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -14,12 +17,16 @@ from likelihood_gambles import (
     canonical_equivalent,
     canonical_of_value,
     compare,
+    depth,
+    dump_gamble,
     flatten,
+    gamble_from_json,
     implied_prior,
     inverse_logit,
     logit,
     prefer,
     price,
+    load_gamble,
     utility_of_gamble,
 )
 from likelihood_gambles.conformance import GenConfig, generate_gamble
@@ -51,6 +58,18 @@ def chain(levels):
         else:
             g = Gamble.from_prospects([(1.0, g), (0.5, (i % 11) / 11)])
     return g
+
+
+def chain_dict(levels):
+    """The dict form of ``chain(levels)``, built level by level."""
+    obj = {"constant": 0.3}
+    for i in range(levels):
+        if i % 2:
+            pairs = [(0.999, obj), (1.0, {"constant": (i % 7) / 7})]
+        else:
+            pairs = [(1.0, obj), (0.5, {"constant": (i % 11) / 11})]
+        obj = {"prospects": [{"likelihood": lik, "reward": reward} for lik, reward in pairs]}
+    return obj
 
 
 class TestLogit:
@@ -218,6 +237,26 @@ class TestUtilityOfGamble:
         for deep, reduced in prices:
             assert deep == pytest.approx(reduced, abs=1e-12)
         assert orders == ["equal"] * len(cs)
+
+    def test_deep_chain_loads_and_dumps(self):
+        # The loader, the writer and depth walk explicit stacks too; only the
+        # stdlib JSON decoder bounds the depth of text read back in.
+        levels = 5000
+        g = chain(levels)
+        try:
+            loaded = gamble_from_json(chain_dict(levels))
+            same = loaded == g
+            levels_seen = depth(g), depth(loaded)
+            text = dump_gamble(g)
+            same_text = dump_gamble(loaded) == text
+        except RecursionError:
+            raise AssertionError("a 5000-level gamble exhausted the recursion limit") from None
+        assert same and same_text
+        assert levels_seen == (levels, levels)
+        bound = f"about {sys.getrecursionlimit() // 3} levels"
+        with pytest.raises(GambleError, match=bound):
+            load_gamble(io.StringIO(text))
+        assert json.loads(dump_gamble(chain(20))) == chain_dict(20)
 
 
 class TestPrice:
