@@ -18,7 +18,9 @@ beta, and B collapses to (x+s) log p + (m-x-s) log(1-p) plus a constant.
 On each side of the kink p* = inverse_logit(c) the smaller piece is either
 concave, peaking at x/m or (x+s)/m, or monotone toward the kink (x = 0 and
 x = m are the monotone cases).  So the maximum is the best value among
-p = 0, 1, p*, x/m and (x+s)/m.
+p = 0, 1, p*, x/m and (x+s)/m.  One pass evaluates both components at p*
+and x/m, (x-1)/m, (x+1)/m; that is still exact, because a component
+evaluated at the other's candidates cannot exceed its own maximum.
 
 For comparison, three default-prior Bayesian prices of the same bet have
 closed forms: the posterior-mean success probabilities (x+1)/(m+2) for a
@@ -31,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Literal
 
 from .gambles import GambleError
 from .pricing import UtilityVector, inverse_logit, price_from_vector
@@ -47,10 +48,10 @@ __all__ = [
     "format_price",
     "render_table_text",
     "render_table_csv",
-    "CSV_HEADER",
 ]
 
 CSV_HEADER = "x,likelihood,uniform,jeffreys,novick_hall"
+_PRICE_QUANTUM = Decimal("0.0001")
 
 
 @dataclass(frozen=True)
@@ -127,37 +128,24 @@ def normalized_binomial_likelihood(p: float, scenario: BinomialScenario) -> floa
     return min(1.0, math.exp(ll))
 
 
-def _component_max(scenario: BinomialScenario, component: Literal["alpha", "beta"]) -> float:
-    """max over p of l(p) times the alpha or beta weight of a constant p."""
+def continuous_utility_vector(scenario: BinomialScenario) -> UtilityVector:
+    """Utility vector of the bet over the full bias continuum."""
     m, x, c = scenario.trials, scenario.successes, scenario.premium
-    sign = 1.0 if component == "alpha" else -1.0
     lognorm = _log_normalizer(m, x)
-
-    def objective(p: float) -> float:
-        if p <= 0.0:
-            # l(0) * weight(0): the alpha weight vanishes at 0, beta is 1.
-            return (1.0 if x == 0 else 0.0) if component == "beta" else 0.0
-        if p >= 1.0:
-            return (1.0 if x == m else 0.0) if component == "alpha" else 0.0
+    # Endpoints: only alpha is positive at p = 1, only beta at p = 0.
+    alpha = 1.0 if x == m else 0.0
+    beta = 1.0 if x == 0 else 0.0
+    for p in (inverse_logit(c), x / m, (x - 1) / m, (x + 1) / m):
+        if not 0.0 < p < 1.0:
+            continue
         ll = -lognorm
         if x:
             ll += x * math.log(p)
         if m - x:
             ll += (m - x) * math.log1p(-p)
-        t = sign * (math.log(p) - math.log1p(-p) - c)
-        return min(1.0, math.exp(ll + min(0.0, t)))
-
-    # Candidate maximizers: the endpoints, the kink, and the modes of A and B.
-    candidates = [0.0, 1.0, inverse_logit(c), x / m]
-    if 0 <= x + sign <= m:
-        candidates.append((x + sign) / m)
-    return max(objective(p) for p in candidates)
-
-
-def continuous_utility_vector(scenario: BinomialScenario) -> UtilityVector:
-    """Utility vector of the bet over the full bias continuum."""
-    alpha = _component_max(scenario, "alpha")
-    beta = _component_max(scenario, "beta")
+        t = math.log(p) - math.log1p(-p) - c
+        alpha = max(alpha, min(1.0, math.exp(ll + min(0.0, t))))
+        beta = max(beta, min(1.0, math.exp(ll + min(0.0, -t))))
     return UtilityVector(alpha, beta)
 
 
@@ -184,10 +172,9 @@ def emit_table(m: int, c: float = 0.0) -> list[PricingRow]:
     return [_pricing_row(BinomialScenario(m, x, c)) for x in range(m + 1)]
 
 
-def format_price(value: float, digits: int = 4) -> str:
-    """Fixed-point string rounded half away from zero."""
-    quantum = Decimal(1).scaleb(-digits)
-    return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+def format_price(value: float) -> str:
+    """Fixed-point string with 4 decimals, rounded half away from zero."""
+    return str(Decimal(repr(float(value))).quantize(_PRICE_QUANTUM, rounding=ROUND_HALF_UP))
 
 
 def render_table_text(rows: list[PricingRow]) -> str:

@@ -48,11 +48,8 @@ from .pricing import (
 
 __all__ = [
     "GenConfig",
-    "PropertyResult",
-    "ConformanceReport",
     "generate_gamble",
     "run_conformance",
-    "property_names",
 ]
 
 PAIR_TOL = 1e-12

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from typing import IO, Any, Union
 
 __all__ = [
-    "MAX_LIKELIHOOD_TOL",
-    "PROB_SUM_TOL",
     "GambleError",
     "DegenerateEvidenceError",
     "InvalidModelError",
@@ -175,10 +173,8 @@ class Gamble:
         return hash(self._normal_key())
 
     def __repr__(self) -> str:
-        if self.is_constant:
-            return f"Gamble({self.constant})"
-        inner = ", ".join(f"{p.likelihood}/{p.reward!r}" for p in self.prospects)
-        return f"Gamble({{{inner}}})"
+        """The paper's notation, e.g. ``Gamble({1.0/Gamble(0.5), 0.8/Gamble(0.4)})``."""
+        return _write(self, _REPR_TOKENS)
 
 
 def as_gamble(value: GambleLike) -> Gamble:
@@ -341,15 +337,26 @@ def flatten(g: Gamble) -> Gamble:
 
 
 def gamble_to_json(g: Gamble) -> dict[str, Any]:
-    """Plain-dict form of a gamble, mirroring the JSON file format."""
-    if g.is_constant:
+    """Plain-dict form of a gamble, mirroring the JSON file format.
+
+    Compound rewards wait on an explicit stack beside the dict each fills.
+    """
+    if g.constant is not None:
         return {"constant": g.constant}
-    return {
-        "prospects": [
-            {"likelihood": p.likelihood, "reward": gamble_to_json(p.reward)}
-            for p in g.prospects
-        ]
-    }
+    root: dict[str, Any] = {}
+    stack = [(g, root)]
+    while stack:
+        node, out = stack.pop()
+        entries = out["prospects"] = []
+        for p in node.prospects:
+            reward = p.reward
+            if reward.constant is None:
+                filled: dict[str, Any] = {}
+                stack.append((reward, filled))
+            else:
+                filled = {"constant": reward.constant}
+            entries.append({"likelihood": p.likelihood, "reward": filled})
+    return root
 
 
 def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
@@ -401,13 +408,16 @@ def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
         node = entry["reward"]
 
 
-def dump_gamble(g: Gamble, fp: IO[str] | None = None) -> str:
-    """Serialize a gamble to JSON text; also write it to ``fp`` if given.
+# The text around a constant, around a prospect list, before and after a
+# likelihood, and after a reward: JSON, and the paper's ``l/x`` notation.
+_JSON_TOKENS = ('{"constant": ', "}", '{"prospects": [', "]}", '{"likelihood": ', ', "reward": ', "}")
+_REPR_TOKENS = ("Gamble(", ")", "Gamble({", "})", "", "/", "")
 
-    The text equals ``json.dumps(gamble_to_json(g))``.  It is written from
-    an explicit stack of pending gambles and closing brackets, so any depth
-    that fits in memory serializes.
-    """
+
+def _write(g: Gamble, tokens: tuple[str, ...]) -> str:
+    """Text of ``g`` in a token set above, from a stack of pending gambles and text."""
+    const_open, const_close, open_, close, lik_open, lik_close, reward_close = tokens
+    lik_next = ", " + lik_open
     parts: list[str] = []
     stack: list[Gamble | str] = [g]
     while stack:
@@ -415,16 +425,25 @@ def dump_gamble(g: Gamble, fp: IO[str] | None = None) -> str:
         if type(node) is str:
             parts.append(node)
         elif node.constant is not None:
-            parts.append(f'{{"constant": {node.constant!r}}}')
+            parts.append(f"{const_open}{node.constant!r}{const_close}")
         else:
-            parts.append('{"prospects": [')
-            stack.append("]}")
+            parts.append(open_)
+            stack.append(close)
             prospects = node.prospects
             for i in range(len(prospects) - 1, -1, -1):
                 p = prospects[i]
-                head = f'{", " if i else ""}{{"likelihood": {p.likelihood!r}, "reward": '
-                stack += ("}", p.reward, head)
-    text = "".join(parts)
+                head = f"{lik_next if i else lik_open}{p.likelihood!r}{lik_close}"
+                stack += (reward_close, p.reward, head)
+    return "".join(parts)
+
+
+def dump_gamble(g: Gamble, fp: IO[str] | None = None) -> str:
+    """Serialize a gamble to JSON text; also write it to ``fp`` if given.
+
+    The text equals ``json.dumps(gamble_to_json(g))`` and is written without
+    recursion, so any depth that fits in memory serializes.
+    """
+    text = _write(g, _JSON_TOKENS)
     if fp is not None:
         fp.write(text)
     return text
@@ -461,6 +480,9 @@ def model_from_json(obj: Any) -> ModelSpec:
     """Parse the dict form of a model specification."""
     if not isinstance(obj, Mapping) or "probabilities" not in obj or "payoff" not in obj:
         raise InvalidModelError("model object needs 'probabilities' and 'payoff' keys")
+    for key in ("probabilities", "payoff"):
+        if not isinstance(obj[key], Mapping):
+            raise InvalidModelError(f"{key!r} must be a JSON object, got {type(obj[key]).__name__}")
     return ModelSpec(probabilities=obj["probabilities"], payoff=obj["payoff"])
 
 

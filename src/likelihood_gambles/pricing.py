@@ -35,9 +35,7 @@ from typing import Literal
 from .gambles import Gamble, GambleError, InfiniteLogitError, _leaf_likelihoods, _require_unit
 
 __all__ = [
-    "VECTOR_TOL",
     "UtilityVector",
-    "Ordering",
     "logit",
     "inverse_logit",
     "canonical_of_value",

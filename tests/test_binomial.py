@@ -18,6 +18,7 @@ from likelihood_gambles import (
     continuous_utility_vector,
     emit_table,
     format_price,
+    inverse_logit,
     likelihood_price,
     normalized_binomial_likelihood,
     render_table_csv,
@@ -69,6 +70,34 @@ def oracle_price(m: int, x: int, c: float, points: int = 1_000_001) -> float:
         return 0.0
     t = math.log(alpha / beta) + c
     return 1.0 / (1.0 + math.exp(-t)) if t >= 0 else math.exp(t) / (1.0 + math.exp(t))
+
+
+def per_component_max(m: int, x: int, c: float, sign: float) -> float:
+    """One component (alpha for sign +1, beta for -1) at its own candidates only:
+    the endpoints, the kink, x/m and (x + sign)/m, each solved separately."""
+    lognorm = 0.0
+    if x:
+        lognorm += x * math.log(x / m)
+    if m - x:
+        lognorm += (m - x) * math.log1p(-x / m)
+
+    def objective(p: float) -> float:
+        if p <= 0.0:
+            return (1.0 if x == 0 else 0.0) if sign < 0 else 0.0
+        if p >= 1.0:
+            return (1.0 if x == m else 0.0) if sign > 0 else 0.0
+        ll = -lognorm
+        if x:
+            ll += x * math.log(p)
+        if m - x:
+            ll += (m - x) * math.log1p(-p)
+        t = sign * (math.log(p) - math.log1p(-p) - c)
+        return min(1.0, math.exp(ll + min(0.0, t)))
+
+    candidates = [0.0, 1.0, inverse_logit(c), x / m]
+    if 0 <= x + sign <= m:
+        candidates.append((x + sign) / m)
+    return max(objective(p) for p in candidates)
 
 
 class TestScenario:
@@ -147,6 +176,17 @@ class TestInternalMaxima:
                 beta = oracle_component(m, x, c, "beta", 1_000_001)
                 assert u.alpha == pytest.approx(alpha, abs=1e-6)
                 assert u.beta == pytest.approx(beta, abs=1e-6)
+
+    @pytest.mark.parametrize("trials", [range(1, 51), [1000]], ids=["m<=50", "m=1000"])
+    def test_one_pass_equals_per_component_maxima(self, trials):
+        # Evaluating a component at the other one's candidates cannot beat
+        # its own maximum, so the shared pass returns the very same floats.
+        for m in trials:
+            for x in range(m + 1):
+                for c in (-40.0, -3.0, -0.5, 0.0, 0.7, 3.0, 40.0):
+                    u = continuous_utility_vector(BinomialScenario(m, x, c))
+                    assert u.alpha == per_component_max(m, x, c, 1.0), (m, x, c)
+                    assert u.beta == per_component_max(m, x, c, -1.0), (m, x, c)
 
 
 class TestLikelihoodPrice:

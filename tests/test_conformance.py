@@ -1,6 +1,7 @@
 """Generator determinism, the law suite on the real utility, and mutation tests."""
 
 import json
+import random
 
 import pytest
 
@@ -13,8 +14,15 @@ from likelihood_gambles import (
     generate_gamble,
     run_conformance,
 )
-from likelihood_gambles.conformance import _Ctx, _shrink_candidates, _PROPERTIES, property_names
-from likelihood_gambles.gambles import gamble_from_json
+from likelihood_gambles.conformance import (
+    _Ctx,
+    _PROPERTIES,
+    _serialize,
+    _shrink_candidates,
+    property_names,
+)
+from likelihood_gambles.gambles import build_gamble, gamble_from_json, gamble_to_json
+from likelihood_gambles.pricing import _utility_pair
 
 
 def max_branching_of(g: Gamble) -> int:
@@ -35,6 +43,15 @@ def sum_pair(g: Gamble, c: float) -> tuple[float, float]:
         alpha += p.likelihood * a
         beta += p.likelihood * b
     return alpha, beta
+
+
+def swapped_pair(g: Gamble, c: float) -> tuple[float, float]:
+    """Deliberately broken evaluator: alpha and beta trade places."""
+    return _utility_pair(g, c)[::-1]
+
+
+def law(name: str):
+    return next(p for p in _PROPERTIES if p.name == name)
 
 
 class TestGenerator:
@@ -177,3 +194,29 @@ class TestMutationDetection:
         assert not prop.holds((counterexample,), {}, ctx)
         for candidate in _shrink_candidates(counterexample):
             assert prop.holds((candidate,), {}, ctx)
+
+    @pytest.mark.parametrize("name", ["numerical_order", "price_roundtrip", "price_monotonicity"])
+    def test_payload_counterexample_is_the_drawn_gambles(self, name):
+        # These laws draw numbers, not gambles, so the report shows the
+        # gambles built from the first failing draw.
+        config = GenConfig(seed=5, samples=50)
+        (result,) = run_conformance(config, properties=[name], utility_fn=swapped_pair).results
+        assert result.failures > 0
+        ctx = _Ctx(premium=0.0, config=config, pair=swapped_pair)
+        _, aux = law(name).draw(random.Random(result.seed), ctx)
+        if name == "numerical_order":
+            expected = [gamble_to_json(Gamble.from_value(aux[key])) for key in ("x", "y")]
+        elif name == "price_roundtrip":
+            expected = gamble_to_json(Gamble.from_value(aux["x"]))
+        else:
+            canonical = [Gamble.from_prospects([(1.0, 1.0), (lik, 0.0)]) for lik in aux["pair"]]
+            expected = [gamble_to_json(g) for g in canonical]
+        assert result.counterexample == expected
+
+    @pytest.mark.parametrize("name", ["evidence_scaling", "model_permutation"])
+    def test_evidence_payload_is_the_built_gamble(self, name):
+        prop = law(name)
+        ctx = _Ctx(premium=0.0, config=GenConfig(), pair=_utility_pair)
+        inputs, aux = prop.draw(random.Random(11), ctx)
+        expected = gamble_to_json(build_gamble(aux["models"], aux["evidence"]))
+        assert _serialize(inputs, aux, prop) == expected

@@ -182,6 +182,17 @@ class TestConstruction:
         g = Gamble(prospects=[Prospect(1.0, Gamble.from_value(0.5))])
         assert type(g.prospects) is tuple
 
+    @pytest.mark.parametrize("reward", [0.5, None, {"constant": 0.5}], ids=["float", "none", "dict"])
+    def test_reward_must_be_a_gamble(self, reward):
+        with pytest.raises(GambleError, match="reward must be a Gamble"):
+            Prospect(1.0, reward)
+
+    def test_repr_uses_the_paper_notation(self):
+        inner = Gamble.from_prospects([(1.0, 0.25), (0.3, 1.0)])
+        g = Gamble.from_prospects([(1.0, 0.5), (0.8, inner)])
+        assert repr(g) == "Gamble({1.0/Gamble(0.5), 0.8/Gamble({1.0/Gamble(0.25), 0.3/Gamble(1.0)})})"
+        assert repr(Gamble.from_value(0.5)) == "Gamble(0.5)"
+
 
 class TestExpectedUtility:
     def test_fair_coin_bet_on_head(self):
@@ -217,6 +228,15 @@ class TestExpectedUtility:
             ModelSpec({"head": bad, "tail": 0.5}, {"head": 1.0, "tail": 0.0})
         with pytest.raises(InvalidModelError, match="probability of 'head'"):
             model_from_json({"probabilities": {"head": bad, "tail": 0.5}, "payoff": {"head": 1.0}})
+
+    def test_model_needs_an_outcome(self):
+        with pytest.raises(InvalidModelError, match="at least one outcome"):
+            ModelSpec({}, {})
+
+    @pytest.mark.parametrize("bad", [-0.5, math.inf], ids=["negative", "inf"])
+    def test_probabilities_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(InvalidModelError, match="must be finite and >= 0"):
+            ModelSpec({"head": bad, "tail": 0.5}, {"head": 1.0, "tail": 0.0})
 
 
 class TestNormalizeLikelihoods:
@@ -362,6 +382,13 @@ class TestEquality:
         assert Gamble.from_value(0.5) == Gamble.from_value(0.5)
         assert Gamble.from_value(0.5) != Gamble.from_value(0.6)
 
+    def test_maximum_within_tolerance_of_one_is_renormalized(self):
+        g = Gamble.from_prospects([(1 - 5e-13, 0.3), (0.5, 0.7)])
+        flat = flatten(g)
+        assert flat.prospects[0].likelihood == 1.0
+        assert g == flat
+        assert hash(g) == hash(flat)
+
 
 class TestJson:
     def test_constant_round_trip(self):
@@ -430,6 +457,22 @@ class TestJson:
     def test_model_missing_keys(self):
         with pytest.raises(InvalidModelError):
             model_from_json({"probabilities": {"a": 1.0}})
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"probabilities": [1], "payoff": {}}, "probabilities"),
+            ({"probabilities": "ab", "payoff": {}}, "probabilities"),
+            ({"probabilities": 3, "payoff": {}}, "probabilities"),
+            ({"probabilities": [["h", 1.0]], "payoff": {"h": 1.0}}, "probabilities"),
+            ({"probabilities": {"h": 1.0}, "payoff": [1]}, "payoff"),
+            ({"probabilities": {"h": 1.0}, "payoff": None}, "payoff"),
+        ],
+        ids=["list", "string", "number", "pair-list", "payoff-list", "payoff-null"],
+    )
+    def test_model_fields_must_be_objects(self, obj, key):
+        with pytest.raises(InvalidModelError, match=f"'{key}' must be a JSON object"):
+            model_from_json(obj)
 
     def test_dump_matches_json_dumps(self):
         for seed, g in enumerate(generated()):

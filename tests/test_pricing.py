@@ -21,6 +21,7 @@ from likelihood_gambles import (
     dump_gamble,
     flatten,
     gamble_from_json,
+    gamble_to_json,
     implied_prior,
     inverse_logit,
     logit,
@@ -239,8 +240,8 @@ class TestUtilityOfGamble:
         assert orders == ["equal"] * len(cs)
 
     def test_deep_chain_loads_and_dumps(self):
-        # The loader, the writer and depth walk explicit stacks too; only the
-        # stdlib JSON decoder bounds the depth of text read back in.
+        # The loader, both writers, repr and depth walk explicit stacks too;
+        # only the stdlib JSON decoder bounds the depth of text read back in.
         levels = 5000
         g = chain(levels)
         try:
@@ -249,9 +250,13 @@ class TestUtilityOfGamble:
             levels_seen = depth(g), depth(loaded)
             text = dump_gamble(g)
             same_text = dump_gamble(loaded) == text
+            round_trip = gamble_from_json(gamble_to_json(g)) == g
+            shown = repr(g)
         except RecursionError:
             raise AssertionError("a 5000-level gamble exhausted the recursion limit") from None
-        assert same and same_text
+        assert same and same_text and round_trip
+        assert shown.startswith("Gamble({0.999/Gamble({1.0/Gamble({0.999/")
+        assert shown.count("Gamble({") == levels
         assert levels_seen == (levels, levels)
         bound = f"about {sys.getrecursionlimit() // 3} levels"
         with pytest.raises(GambleError, match=bound):
