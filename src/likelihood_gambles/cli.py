@@ -12,6 +12,7 @@ law, 2 on argument or input errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Sequence
@@ -166,11 +167,19 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # A command builds only acyclic data (immutable gambles in tuples, decoded
+    # dicts and lists) that reference counting frees; the cyclic collector
+    # would only rescan it, so it is paused and its prior state restored.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except (GambleError, OSError, json.JSONDecodeError) as exc:
         print(f"lgamble: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -470,10 +470,7 @@ def _check_model_permutation(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
 def _check_totality(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
     g1, g2 = inputs
     u, v = ctx.vector(g1), ctx.vector(g2)
-    forward = compare(u, v)
-    if forward not in ("greater", "equal", "less"):
-        return False
-    if _RANK[forward] != -_RANK[compare(v, u)]:
+    if _RANK[compare(u, v)] != -_RANK[compare(v, u)]:
         return False
     return compare(u, u) == "equal"
 

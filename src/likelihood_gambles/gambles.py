@@ -197,14 +197,18 @@ class ModelSpec:
     payoff: Mapping[str, float]
 
     def __post_init__(self) -> None:
+        for key in ("probabilities", "payoff"):
+            table = getattr(self, key)
+            if not isinstance(table, Mapping):
+                raise InvalidModelError(f"{key!r} must be a JSON object, got {type(table).__name__}")
         try:
             probs = {
                 str(k): _require_real(v, f"probability of {k!r}")
-                for k, v in dict(self.probabilities).items()
+                for k, v in self.probabilities.items()
             }
+            pays = {str(k): _require_unit(v, f"payoff[{k!r}]") for k, v in self.payoff.items()}
         except GambleError as exc:
             raise InvalidModelError(str(exc)) from None
-        pays = {str(k): _require_unit(v, f"payoff[{k!r}]") for k, v in dict(self.payoff).items()}
         if not probs:
             raise InvalidModelError("a model needs at least one outcome")
         for k, v in probs.items():
@@ -324,7 +328,8 @@ def flatten(g: Gamble) -> Gamble:
     """
     if g.is_constant:
         return g
-    return Gamble.from_prospects(g._normal_key()[1])
+    pairs = g._normal_key()[1]
+    return Gamble(prospects=tuple(Prospect(lik, Gamble(constant=value)) for lik, value in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +379,9 @@ def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
     stack: list[tuple[Sequence, list[float], list[Gamble]]] = []
     node = obj
     while True:
-        if not isinstance(node, Mapping):
+        # Decoded JSON is dicts and lists: exact-type tests pass those before
+        # the slower abstract-base-class checks, which other mappings take.
+        if type(node) is not dict and not isinstance(node, Mapping):
             raise GambleError(f"expected a JSON object, got {type(node).__name__}")
         if "constant" in node:
             built: Gamble | None = Gamble(constant=node["constant"])
@@ -382,7 +389,10 @@ def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
             if "prospects" not in node:
                 raise GambleError("gamble object needs a 'constant' or 'prospects' key")
             entries = node["prospects"]
-            if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)) or not entries:
+            if (
+                type(entries) is not list
+                and (not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)))
+            ) or not entries:
                 raise GambleError("'prospects' must be a nonempty array")
             stack.append((entries, [], []))
             built = None
@@ -401,7 +411,11 @@ def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
                 raise GambleError(f"strict mode: maximum likelihood is {max(raw)}, expected 1")
             built = Gamble(prospects=tuple(map(Prospect, likelihoods, rewards)))
         entry = entries[len(rewards)]
-        if not isinstance(entry, Mapping) or "likelihood" not in entry or "reward" not in entry:
+        if (
+            (type(entry) is not dict and not isinstance(entry, Mapping))
+            or "likelihood" not in entry
+            or "reward" not in entry
+        ):
             raise GambleError("each prospect needs 'likelihood' and 'reward' keys")
         lik = entry["likelihood"]
         raw.append(lik if type(lik) is float else _require_real(lik, "likelihood"))
@@ -480,9 +494,6 @@ def model_from_json(obj: Any) -> ModelSpec:
     """Parse the dict form of a model specification."""
     if not isinstance(obj, Mapping) or "probabilities" not in obj or "payoff" not in obj:
         raise InvalidModelError("model object needs 'probabilities' and 'payoff' keys")
-    for key in ("probabilities", "payoff"):
-        if not isinstance(obj[key], Mapping):
-            raise InvalidModelError(f"{key!r} must be a JSON object, got {type(obj[key]).__name__}")
     return ModelSpec(probabilities=obj["probabilities"], payoff=obj["payoff"])
 
 

@@ -1,5 +1,7 @@
 """Command-line behavior: output formats, exit codes, and reduction round trips."""
 
+import ast
+import gc
 import json
 import math
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import likelihood_gambles
+from likelihood_gambles import cli
 from likelihood_gambles.cli import main
 
 TWO_COINS = {
@@ -263,3 +266,72 @@ class TestErrorHandling:
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("lgamble: error:")
             assert bound in lines[0]
+
+
+@pytest.fixture
+def collector():
+    """Set the cyclic collector's state for one test and restore it afterwards."""
+    before = gc.isenabled()
+
+    def set_state(enabled):
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_state
+    set_state(before)
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["price", "{file}"], 0),
+            (["price", "{bad}"], 2),
+            (["conformance", "--samples", "5", "--seed", "1"], 0),
+        ],
+        ids=["price", "input-error", "conformance"],
+    )
+    def test_state_is_restored(self, gamble_file, collector, capsys, enabled, argv, code):
+        paths = {"file": gamble_file(TWO_COINS), "bad": gamble_file({"constant": 2.0}, "bad.json")}
+        collector(enabled)
+        assert main([arg.format(**paths) for arg in argv]) == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored_after_an_uncaught_exception(self, gamble_file, collector,
+                                                           monkeypatch, enabled):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "price", crash)
+        collector(enabled)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["price", gamble_file(TWO_COINS)])
+        assert gc.isenabled() is enabled
+
+    def test_paused_inside_a_command(self, gamble_file, collector, monkeypatch):
+        seen = []
+
+        def record(args):
+            seen.append(gc.isenabled())
+            return 0
+
+        monkeypatch.setitem(cli._COMMANDS, "price", record)
+        collector(True)
+        assert main(["price", gamble_file(TWO_COINS)]) == 0
+        assert seen == [False]
+
+    def test_only_the_cli_imports_gc(self):
+        package = Path(likelihood_gambles.__file__).parent
+        importers = set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if "gc" in names:
+                    importers.add(path.name)
+        assert importers == {"cli.py"}

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -219,8 +220,17 @@ class TestExpectedUtility:
             ModelSpec({"a": 0.5, "b": 0.4}, {"a": 1.0, "b": 0.0})
 
     def test_payoffs_must_be_utilities(self):
-        with pytest.raises(GambleError):
+        with pytest.raises(InvalidModelError, match=r"payoff\['a'\] must lie in \[0, 1\]"):
             ModelSpec({"a": 1.0}, {"a": 2.0})
+        with pytest.raises(InvalidModelError, match=r"payoff\['a'\] must lie in \[0, 1\]"):
+            model_from_json({"probabilities": {"a": 1.0}, "payoff": {"a": 2.0}})
+
+    @pytest.mark.parametrize("bad", ["abc", None, "0.5", True], ids=["str", "null", "numeric-str", "bool"])
+    def test_payoffs_must_be_real_numbers(self, bad):
+        with pytest.raises(InvalidModelError, match=r"payoff\['head'\] must be a real number"):
+            ModelSpec({"head": 0.5, "tail": 0.5}, {"head": bad, "tail": 0.0})
+        with pytest.raises(InvalidModelError, match=r"payoff\['head'\] must be a real number"):
+            model_from_json({"probabilities": {"head": 1.0}, "payoff": {"head": bad}})
 
     @pytest.mark.parametrize("bad", ["abc", None, "0.5", True], ids=["str", "null", "numeric-str", "bool"])
     def test_probabilities_must_be_real_numbers(self, bad):
@@ -467,12 +477,52 @@ class TestJson:
             ({"probabilities": [["h", 1.0]], "payoff": {"h": 1.0}}, "probabilities"),
             ({"probabilities": {"h": 1.0}, "payoff": [1]}, "payoff"),
             ({"probabilities": {"h": 1.0}, "payoff": None}, "payoff"),
+            ({"probabilities": {"h": 1.0}, "payoff": 3}, "payoff"),
+            ({"probabilities": {"h": 1.0}, "payoff": [("h", 0.5)]}, "payoff"),
+            ({"probabilities": [("h", 1.0)], "payoff": [("h", 0.5)]}, "probabilities"),
         ],
-        ids=["list", "string", "number", "pair-list", "payoff-list", "payoff-null"],
+        ids=[
+            "list", "string", "number", "pair-list", "payoff-list", "payoff-null",
+            "payoff-number", "payoff-pair-list", "both-pair-lists",
+        ],
     )
     def test_model_fields_must_be_objects(self, obj, key):
         with pytest.raises(InvalidModelError, match=f"'{key}' must be a JSON object"):
             model_from_json(obj)
+        with pytest.raises(InvalidModelError, match=f"'{key}' must be a JSON object"):
+            ModelSpec(**obj)
+
+    def test_loader_accepts_any_mapping_and_sequence(self):
+        def frozen(obj):
+            # Read-only mappings for objects, tuples for arrays.
+            if isinstance(obj, dict):
+                return MappingProxyType({k: frozen(v) for k, v in obj.items()})
+            if isinstance(obj, list):
+                return tuple(frozen(v) for v in obj)
+            return obj
+
+        for seed, g in enumerate(generated(range(40))):
+            obj = unnormalized(gamble_to_json(g))
+            want = gamble_to_json(gamble_from_json(obj))
+            assert gamble_to_json(gamble_from_json(frozen(obj))) == want, seed
+
+    @pytest.mark.parametrize(
+        "entries", ["ab", b"ab", [], {}, (), MappingProxyType({}), 3],
+        ids=["str", "bytes", "empty-list", "object", "empty-tuple", "mapping", "number"],
+    )
+    def test_prospects_must_be_a_nonempty_array(self, entries):
+        with pytest.raises(GambleError, match="^'prospects' must be a nonempty array$"):
+            gamble_from_json({"prospects": entries})
+
+    @pytest.mark.parametrize(
+        "entry",
+        [0.5, "ab", None, [1.0, {"constant": 0.5}], MappingProxyType({"likelihood": 1.0})],
+        ids=["number", "str", "null", "array", "mapping-without-reward"],
+    )
+    def test_prospect_entries_must_be_objects(self, entry):
+        good = {"likelihood": 1.0, "reward": {"constant": 0.5}}
+        with pytest.raises(GambleError, match="^each prospect needs 'likelihood' and 'reward' keys$"):
+            gamble_from_json({"prospects": [good, entry]})
 
     def test_dump_matches_json_dumps(self):
         for seed, g in enumerate(generated()):
