@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .gambles import GambleError
-from .pricing import UtilityVector, inverse_logit, price_from_vector
+from .pricing import UtilityVector, _require_premium, inverse_logit, price_from_vector
 
 __all__ = [
     "BinomialScenario",
@@ -70,9 +70,7 @@ class BinomialScenario:
             raise GambleError(
                 f"successes must be an integer in [0, {self.trials}], got {self.successes!r}"
             )
-        if not math.isfinite(float(self.premium)):
-            raise GambleError(f"premium must be finite, got {self.premium!r}")
-        object.__setattr__(self, "premium", float(self.premium))
+        object.__setattr__(self, "premium", _require_premium(self.premium))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .binomial import (
 )
 from .conformance import GenConfig, run_conformance
 from .gambles import GambleError, dump_gamble, flatten, load_gamble
-from .pricing import canonical_equivalent, logit, prefer, price
+from .pricing import MAX_PREMIUM, canonical_equivalent, logit, prefer, price
 
 _SYMBOL = {"greater": ">", "equal": "=", "less": "<"}
 
@@ -37,7 +37,7 @@ def _add_premium_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "-c", "--premium", type=float, default=0.0,
-        help="ambiguity premium as log-odds (default 0: neutral)",
+        help=f"ambiguity premium as log-odds, |c| <= {MAX_PREMIUM:g} (default 0: neutral)",
     )
     group.add_argument(
         "--rho", type=float, default=None,

@@ -287,8 +287,11 @@ def _draw_constants(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
         x, y = rng.random(), rng.random()
     if x < y:
         x, y = y, x
-    if x != y and x - y < 1e-6:
-        # A sub-1e-6 gap can fall below the comparison tolerance; widen it.
+    if x != y and x - y < 1e-11:
+        # logit's slope is at least 4, so constants d apart are at least 4d
+        # apart in the order key, past its 2e-12 tie tolerance once d > 5e-13.
+        # Widening gaps below 1e-11 leaves a margin for rounding in the
+        # canonical pair, whose small component is subnormal near |c| = 700.
         y = max(0.0, x - 0.01)
     return (), {"x": x, "y": y}
 

@@ -384,6 +384,8 @@ def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
         if type(node) is not dict and not isinstance(node, Mapping):
             raise GambleError(f"expected a JSON object, got {type(node).__name__}")
         if "constant" in node:
+            if "prospects" in node:
+                raise GambleError("gamble object has both 'constant' and 'prospects' keys")
             built: Gamble | None = Gamble(constant=node["constant"])
         else:
             if "prospects" not in node:

@@ -5,7 +5,8 @@ the unit square (the set B: max(alpha, beta) = 1).  The point is the unique
 canonical gamble {alpha/1, beta/0} the holder finds interchangeable with the
 original, so preference between gambles reduces to the componentwise order
 on B: <a1, b1> beats <a2, b2> iff a1 >= a2 and b1 <= b2.  On B that order is
-total, and it is the order of the scalar key alpha - beta.
+total, and it is the order of the scalar key ln(alpha / beta), which runs
+from -inf at <0, 1> to +inf at <1, 0>.
 
 The map itself is driven by a single taste parameter, the ambiguity premium
 c: the log-odds of the price the decision maker quotes for the fair gamble
@@ -22,8 +23,11 @@ ends at, and likewise beta.  The price comes back through the logistic:
 
     price = inverse_logit(ln(alpha / beta) + c)
 
-with the conventions price = 1 when beta = 0 and price = 0 when alpha = 0.
-Pricing a constant returns that constant, for every premium.
+so the price is an increasing function of the same key that orders B, and
+the ends of B price at 1 and 0.  Premiums are accepted for |c| <=
+``MAX_PREMIUM``.  Within that bound pricing a constant returns it up to
+rounding, except where exp underflows: at c = 700, constants below about
+e^-45 price 0.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ __all__ = [
 # Vector equality and membership in B are decided at this tolerance.
 VECTOR_TOL = 1e-12
 
+# The largest accepted |c|.  Past about 745 the canonical pair of a constant
+# near 1/2 underflows to 0, and pricing a constant no longer returns it.
+MAX_PREMIUM = 700.0
+
 Ordering = Literal["greater", "equal", "less"]
 
 
@@ -75,9 +83,10 @@ class UtilityVector:
 
 
 def _require_premium(c: float) -> float:
+    """The premium as a float; rejects NaN and |c| > ``MAX_PREMIUM``."""
     c = float(c)
-    if not math.isfinite(c):
-        raise GambleError(f"ambiguity premium must be finite, got {c}")
+    if not abs(c) <= MAX_PREMIUM:
+        raise GambleError(f"ambiguity premium must satisfy |c| <= {MAX_PREMIUM}, got {c}")
     return c
 
 
@@ -122,17 +131,33 @@ def canonical_of_value(x: float, c: float = 0.0) -> UtilityVector:
     return UtilityVector(alpha, beta)
 
 
+def _key(u: UtilityVector) -> float:
+    """ln(alpha / beta): +inf at <1, 0>, -inf at <0, 1>."""
+    if u.beta == 0.0:
+        return math.inf
+    if u.alpha == 0.0:
+        return -math.inf
+    ratio = u.alpha / u.beta
+    # The ratio overflows once beta < alpha / DBL_MAX (about e^-708); the
+    # logs of the components do not.
+    if ratio == math.inf:
+        return math.log(u.alpha) - math.log(u.beta)
+    return math.log(ratio)
+
+
 def compare(u: UtilityVector, v: UtilityVector) -> Ordering:
     """Total order on B: higher alpha and lower beta is better.
 
-    Along B the key alpha - beta rises monotonically from <0, 1> to <1, 0>,
-    so the order is a sign test on the difference of keys; keys within
-    ``VECTOR_TOL`` of each other are ``equal``.
+    Along B the key ln(alpha / beta) rises monotonically from -inf at
+    <0, 1> to +inf at <1, 0>, and the price is increasing in it, so this is
+    the order of prices.  Keys within 2 * ``VECTOR_TOL`` of each other are
+    ``equal``: a beta 5e-13 off 0.5 moves the key by just over 1e-12.
     """
-    d = (u.alpha - u.beta) - (v.alpha - v.beta)
-    if abs(d) <= VECTOR_TOL:
+    ku, kv = _key(u), _key(v)
+    # Equal keys first: inf - inf is NaN.
+    if ku == kv or abs(ku - kv) <= 2 * VECTOR_TOL:
         return "equal"
-    return "greater" if d > 0.0 else "less"
+    return "greater" if ku > kv else "less"
 
 
 def _utility_pair(g: Gamble, c: float) -> tuple[float, float]:
@@ -158,12 +183,7 @@ def utility_of_gamble(g: Gamble, c: float = 0.0) -> UtilityVector:
 
 def price_from_vector(u: UtilityVector, c: float = 0.0) -> float:
     """Invert a utility vector to the constant the holder would trade it for."""
-    c = _require_premium(c)
-    if u.beta == 0.0:
-        return 1.0
-    if u.alpha == 0.0:
-        return 0.0
-    return inverse_logit(math.log(u.alpha / u.beta) + c)
+    return inverse_logit(_key(u) + _require_premium(c))
 
 
 def price(g: Gamble, c: float = 0.0) -> float:
@@ -173,7 +193,6 @@ def price(g: Gamble, c: float = 0.0) -> float:
 
 def prefer(g1: Gamble, g2: Gamble, c: float = 0.0) -> Ordering:
     """Order two gambles by comparing their utility vectors."""
-    c = _require_premium(c)
     return compare(utility_of_gamble(g1, c), utility_of_gamble(g2, c))
 
 

@@ -124,6 +124,13 @@ class TestCompare:
         assert main(["compare", "-c", "0", worse, better]) == 0
         assert capsys.readouterr().out.strip() == "<"
 
+    def test_constants_stay_ordered_at_a_large_premium(self, gamble_file, capsys):
+        # At c = 30 both vectors sit far down the right border.
+        high = gamble_file({"constant": 0.3}, "high.json")
+        low = gamble_file({"constant": 0.2}, "low.json")
+        assert main(["compare", "-c", "30", high, low]) == 0
+        assert capsys.readouterr().out.strip() == ">"
+
     def test_price_agrees_between_original_and_reduction(self, gamble_file, capsys):
         original = gamble_file(NESTED)
         assert main(["price", "-c", "0.4", "-f", "json", original]) == 0
@@ -225,6 +232,27 @@ class TestErrorHandling:
 
     def test_invalid_gamble_payload(self, gamble_file, capsys):
         assert main(["price", gamble_file({"constant": 2.0})]) == 2
+
+    def test_constant_beside_prospects(self, gamble_file, capsys):
+        path = gamble_file({"constant": 0.5, "prospects": 3})
+        assert main(["price", path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lgamble: error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "-c", "800"], ["price", "-c", "745"], ["price", "-c", "-701"],
+        ["demo-binomial", "-m", "10", "--rho", "1e-320"],
+        ["conformance", "--samples", "1", "-c", "1e3"],
+    ], ids=["price-800", "price-745", "price-minus-701", "binomial-rho", "conformance"])
+    def test_premium_past_the_bound(self, gamble_file, capsys, argv):
+        if argv[0] == "price":
+            argv = [*argv, gamble_file({"constant": 0.5})]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("lgamble: error:")
+        assert "|c| <= 700.0" in lines[0]
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -94,7 +94,7 @@ class TestSuiteOnRealUtility:
         assert report.all_passed, report.summary()
 
     def test_all_laws_pass_under_nonneutral_premiums(self):
-        for c in (-1.0, 1.0):
+        for c in (-700.0, -30.0, -1.0, 1.0, 30.0, 700.0):
             report = run_conformance(GenConfig(seed=12, samples=120, max_depth=4), c=c)
             assert report.all_passed, report.summary()
 

@@ -55,6 +55,8 @@ def reference_from_json(obj, strict=False):
     if not isinstance(obj, dict):
         raise GambleError(f"expected a JSON object, got {type(obj).__name__}")
     if "constant" in obj:
+        if "prospects" in obj:
+            raise GambleError("gamble object has both 'constant' and 'prospects' keys")
         return Gamble.from_value(obj["constant"])
     if "prospects" not in obj:
         raise GambleError("gamble object needs a 'constant' or 'prospects' key")
@@ -110,6 +112,7 @@ def levels(obj):
 FAULTS = {
     "not-an-object": lambda level: level["prospects"][0].update(reward=[1]),
     "no-key": lambda level: level["prospects"][0].update(reward={"value": 0.5}),
+    "both-keys": lambda level: level.update(constant=0.5),
     "empty-prospects": lambda level: level.update(prospects=[]),
     "string-prospects": lambda level: level.update(prospects="ab"),
     "entry-not-object": lambda level: level["prospects"].append(0.5),

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from likelihood_gambles import (
+    BinomialScenario,
     Gamble,
     GambleError,
     InfiniteLogitError,
@@ -19,6 +21,7 @@ from likelihood_gambles import (
     compare,
     depth,
     dump_gamble,
+    emit_table,
     flatten,
     gamble_from_json,
     gamble_to_json,
@@ -27,10 +30,13 @@ from likelihood_gambles import (
     logit,
     prefer,
     price,
+    price_from_vector,
     load_gamble,
+    run_conformance,
     utility_of_gamble,
 )
 from likelihood_gambles.conformance import GenConfig, generate_gamble
+from likelihood_gambles.pricing import MAX_PREMIUM
 
 unit_open = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
 premiums = st.floats(min_value=-30.0, max_value=30.0)
@@ -184,6 +190,20 @@ class TestCompare:
         v = UtilityVector(1.0, 0.5 + 5e-13)
         assert compare(u, v) == "equal"
 
+    def test_tiny_constants_stay_ordered(self):
+        # Both vectors sit far down the right border, where alpha - beta
+        # differs by less than 1e-12 but the log key by ln 2.
+        assert prefer(Gamble.from_value(2e-13), Gamble.from_value(1e-13), 0.0) == "greater"
+
+    @pytest.mark.parametrize("c", [-700.0, -30.0, 0.0, 30.0, 700.0])
+    def test_order_is_the_order_of_prices(self, c):
+        for seed in range(60):
+            f = generate_gamble(GenConfig(max_depth=3, max_branching=3, seed=seed))
+            g = generate_gamble(GenConfig(max_depth=3, max_branching=3, seed=seed + 1000))
+            pf, pg = price(f, c), price(g, c)
+            if pf != pg:
+                assert prefer(f, g, c) == ("greater" if pf > pg else "less"), seed
+
 
 class TestUtilityOfGamble:
     def test_canonical_gamble_neutral(self):
@@ -277,6 +297,14 @@ class TestPrice:
         for c in (-2.0, -0.5, 0.0, 0.5, 2.0):
             assert price(Gamble.from_value(0.7), c) == pytest.approx(0.7, abs=1e-9)
 
+    @pytest.mark.parametrize("c", [-MAX_PREMIUM, MAX_PREMIUM])
+    def test_constants_near_the_ends_at_the_bound(self, c):
+        # At c = -700 the beta of a constant near 1 is below 1 / DBL_MAX, so
+        # alpha / beta overflows; the key must still come out finite.
+        for x in (1e-19, 1e-4, 0.3, 0.99999, 1.0 - 1e-15):
+            assert price(Gamble.from_value(x), c) == pytest.approx(x, abs=1e-13)
+        assert prefer(Gamble.from_value(0.99999), Gamble.from_value(0.9999), c) == "greater"
+
     def test_certainty_endpoints(self):
         for c in (-1.0, 0.0, 1.0):
             assert price(Gamble.from_value(1.0), c) == 1.0
@@ -317,6 +345,36 @@ class TestPrefer:
         b = Gamble.from_prospects([(1 - 5e-13, 0.7)])
         assert prefer(a, b) == "less"
         assert prefer(b, a) == "greater"
+
+
+FAIR = Gamble.from_prospects([(1.0, 1.0), (1.0, 0.0)])
+
+# Every public function that takes a premium, called with premium ``c``.
+PREMIUM_ENTRY_POINTS = {
+    "price": lambda c: price(FAIR, c),
+    "prefer": lambda c: prefer(FAIR, FAIR, c),
+    "utility_of_gamble": lambda c: utility_of_gamble(FAIR, c),
+    "price_from_vector": lambda c: price_from_vector(UtilityVector(1.0, 0.5), c),
+    "canonical_of_value": lambda c: canonical_of_value(0.5, c),
+    "canonical_equivalent": lambda c: canonical_equivalent(FAIR, c),
+    "run_conformance": lambda c: run_conformance(GenConfig(samples=1, max_depth=2), c),
+    "BinomialScenario": lambda c: BinomialScenario(10, 3, c),
+    "emit_table": lambda c: emit_table(2, c),
+}
+PAST_THE_BOUND = math.nextafter(MAX_PREMIUM, math.inf)
+
+
+@pytest.mark.parametrize("c, accepted", [
+    (MAX_PREMIUM, True), (-MAX_PREMIUM, True), (PAST_THE_BOUND, False),
+    (-PAST_THE_BOUND, False), (math.inf, False), (math.nan, False),
+], ids=["max", "-max", "past-max", "past-minus-max", "inf", "nan"])
+@pytest.mark.parametrize("entry", sorted(PREMIUM_ENTRY_POINTS))
+def test_premium_bound_holds_at_every_entry_point(entry, c, accepted):
+    if accepted:
+        PREMIUM_ENTRY_POINTS[entry](c)
+    else:
+        with pytest.raises(GambleError, match=re.escape(f"|c| <= {MAX_PREMIUM}")):
+            PREMIUM_ENTRY_POINTS[entry](c)
 
 
 class TestImpliedPrior:
