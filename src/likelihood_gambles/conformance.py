@@ -57,6 +57,8 @@ ROUNDTRIP_TOL = 1e-9
 
 # Constants are drawn from this lattice so duplicate-merge paths get exercised.
 _LATTICE = [i / 10 for i in range(11)]
+# A Gamble is immutable, so every drawn constant can share one object.
+_LATTICE_GAMBLES = [Gamble(constant=x) for x in _LATTICE]
 
 PairFn = Callable[[Gamble, float], tuple[float, float]]
 
@@ -75,31 +77,57 @@ class GenConfig:
             raise GambleError(f"max_depth must be in [0, 6], got {self.max_depth}")
         if self.max_branching < 1:
             raise GambleError(f"max_branching must be >= 1, got {self.max_branching}")
+        # A gamble has up to max_branching ** max_depth leaves; idempotence
+        # draws up to max_branching likelihoods even at depth 0.
+        exponent = max(self.max_depth, 1)
+        if self.max_branching**exponent > 2**16:
+            raise GambleError(
+                "max_branching ** max(max_depth, 1) must be <= 2**16 = 65536, "
+                f"got {self.max_branching}**{exponent}"
+            )
         if self.samples < 0:
             raise GambleError(f"samples must be >= 0, got {self.samples}")
         if not (0 <= self.seed < 2**64):
             raise GambleError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n), consuming the same bits as ``Random._randbelow``.
+
+    ``choice``, ``randint`` and ``randrange`` all draw through
+    ``_randbelow``: ``getrandbits(n.bit_length())``, redrawn while it is
+    >= n.  Calling ``getrandbits`` directly keeps the instance stream and
+    skips two or three Python frames per draw.
+    """
+    bits = n.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
 def _random_likelihood(rng: random.Random) -> float:
     # Lattice draws make exact ties and zero likelihoods reachable.
     if rng.random() < 0.25:
-        return rng.choice(_LATTICE)
+        return _LATTICE[_below(rng, len(_LATTICE))]
     return rng.random()
 
 
 def _random_gamble(rng: random.Random, depth_budget: int, max_branching: int) -> Gamble:
     if depth_budget == 0 or rng.random() < 0.3:
-        return Gamble.from_value(rng.choice(_LATTICE))
-    k = rng.randint(1, max_branching)
+        return _LATTICE_GAMBLES[_below(rng, len(_LATTICE))]
+    k = 1 + _below(rng, max_branching)
+    # All likelihoods are drawn before any reward: the draw order is the stream.
     likelihoods = [_random_likelihood(rng) for _ in range(k)]
     top = max(likelihoods)
     if top == 0.0:
-        likelihoods[rng.randrange(k)] = 1.0
+        likelihoods[_below(rng, k)] = 1.0
         top = 1.0
-    likelihoods = [lik / top for lik in likelihoods]
-    rewards = [_random_gamble(rng, depth_budget - 1, max_branching) for _ in range(k)]
-    return Gamble(prospects=tuple(Prospect(l, r) for l, r in zip(likelihoods, rewards)))
+    depth_budget -= 1
+    prospects = [
+        Prospect(lik / top, _random_gamble(rng, depth_budget, max_branching)) for lik in likelihoods
+    ]
+    return Gamble(prospects=tuple(prospects))
 
 
 def generate_gamble(config: GenConfig) -> Gamble:
@@ -195,9 +223,9 @@ def _check_flatten_utility(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
 
 def _draw_idempotence(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
     reward = ctx.gamble(rng)
-    count = rng.randint(1, ctx.config.max_branching)
+    count = 1 + _below(rng, ctx.config.max_branching)
     likelihoods = [_random_likelihood(rng) for _ in range(count)]
-    likelihoods[rng.randrange(count)] = 1.0
+    likelihoods[_below(rng, count)] = 1.0
     return (reward,), {"likelihoods": likelihoods}
 
 
@@ -227,7 +255,8 @@ def _check_partition(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
     if len(chosen) == n:
         chosen.pop()
     group = [g.prospects[i] for i in chosen]
-    rest = [g.prospects[i] for i in range(n) if i not in set(chosen)]
+    grouped = set(chosen)
+    rest = [g.prospects[i] for i in range(n) if i not in grouped]
     group_top = max(p.likelihood for p in group)
     if group_top == 0.0:
         return True
@@ -240,18 +269,18 @@ def _check_partition(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
 
 def _check_bounds(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
     (g,) = inputs
-    top = ctx.vector(Gamble.from_value(1.0))
-    bottom = ctx.vector(Gamble.from_value(0.0))
+    top = ctx.vector(_LATTICE_GAMBLES[-1])
+    bottom = ctx.vector(_LATTICE_GAMBLES[0])
     u = ctx.vector(g)
     if compare(top, u) == "less" or compare(u, bottom) == "less":
         return False
-    return 0.0 <= ctx.price(g) <= 1.0
+    return 0.0 <= price_from_vector(u, ctx.premium) <= 1.0
 
 
 def _draw_independence(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
     inputs = (ctx.gamble(rng), ctx.gamble(rng), ctx.gamble(rng))
     mix = [_random_likelihood(rng), _random_likelihood(rng)]
-    mix[rng.randrange(2)] = 1.0
+    mix[_below(rng, 2)] = 1.0
     return inputs, {"mix": tuple(mix)}
 
 
@@ -270,8 +299,9 @@ _RANK = {"greater": 1, "equal": 0, "less": -1}
 
 def _check_transitivity(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
     f, g, h = inputs
-    ofg, ogh, ofh = ctx.prefer(f, g), ctx.prefer(g, h), ctx.prefer(f, h)
-    if _RANK[ofg] != -_RANK[ctx.prefer(g, f)]:
+    uf, ug, uh = ctx.vector(f), ctx.vector(g), ctx.vector(h)
+    ofg, ogh, ofh = compare(uf, ug), compare(ug, uh), compare(uf, uh)
+    if _RANK[ofg] != -_RANK[compare(ug, uf)]:
         return False
     if _RANK[ofg] >= 0 and _RANK[ogh] >= 0 and _RANK[ofh] < 0:
         return False
@@ -282,7 +312,7 @@ def _check_transitivity(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
 
 def _draw_constants(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
     if rng.random() < 0.5:
-        x, y = rng.choice(_LATTICE), rng.choice(_LATTICE)
+        x, y = _LATTICE[_below(rng, len(_LATTICE))], _LATTICE[_below(rng, len(_LATTICE))]
     else:
         x, y = rng.random(), rng.random()
     if x < y:
@@ -313,15 +343,15 @@ def _payload_constants(inputs: tuple, aux: dict) -> Any:
 
 def _check_archimedean(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
     f, g, h = inputs
-    if ctx.prefer(f, g) == "less":
-        f, g = g, f
-    if ctx.prefer(g, h) == "less":
-        g, h = h, g
-        if ctx.prefer(f, g) == "less":
-            f, g = g, f
-    if ctx.prefer(f, g) != "greater" or ctx.prefer(g, h) != "greater":
-        return True
     uf, ug, uh = ctx.vector(f), ctx.vector(g), ctx.vector(h)
+    if compare(uf, ug) == "less":
+        f, g, uf, ug = g, f, ug, uf
+    if compare(ug, uh) == "less":
+        g, h, ug, uh = h, g, uh, ug
+        if compare(uf, ug) == "less":
+            f, g, uf, ug = g, f, ug, uf
+    if compare(uf, ug) != "greater" or compare(ug, uh) != "greater":
+        return True
     # Witness above g: keep f at weight 1 and shade h until the mixture wins.
     if uh.beta > 0.0 and ug.beta > uf.beta:
         a2 = min(1.0, 0.5 * (uf.beta + ug.beta) / uh.beta)
@@ -329,7 +359,7 @@ def _check_archimedean(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
         a2 = 1.0
     for _ in range(80):
         mixture = Gamble.from_prospects([(1.0, f), (a2, h)])
-        if ctx.prefer(mixture, g) == "greater":
+        if compare(ctx.vector(mixture), ug) == "greater":
             break
         a2 /= 2.0
     else:
@@ -341,7 +371,7 @@ def _check_archimedean(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
         b1 = 1.0
     for _ in range(80):
         mixture = Gamble.from_prospects([(b1, f), (1.0, h)])
-        if ctx.prefer(mixture, g) == "less":
+        if compare(ctx.vector(mixture), ug) == "less":
             return True
         b1 /= 2.0
     return False
@@ -364,7 +394,7 @@ def _check_canonical_price(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
     (g,) = inputs
     u = ctx.vector(g)
     canonical = Gamble.from_prospects([(u.alpha, 1.0), (u.beta, 0.0)])
-    return abs(ctx.price(canonical) - ctx.price(g)) <= PAIR_TOL
+    return abs(ctx.price(canonical) - price_from_vector(u, ctx.premium)) <= PAIR_TOL
 
 
 def _draw_monotonicity(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
@@ -379,11 +409,12 @@ def _check_price_monotonicity(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
 
     # Lower beta cannot hurt, higher alpha cannot hurt, and the top border
     # always weakly beats the right border.
-    if canonical_price(1.0, low) < canonical_price(1.0, high):
+    top_low = canonical_price(1.0, low)
+    if top_low < canonical_price(1.0, high):
         return False
     if canonical_price(high, 1.0) < canonical_price(low, 1.0):
         return False
-    return canonical_price(1.0, low) >= canonical_price(low, 1.0)
+    return top_low >= canonical_price(low, 1.0)
 
 
 def _payload_monotonicity(inputs: tuple, aux: dict) -> Any:
@@ -410,8 +441,8 @@ def _check_zero_prospect(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
 
 
 def _random_models(rng: random.Random) -> tuple[list[ModelSpec], list[float]]:
-    count = rng.randint(1, 4)
-    outcomes = [f"o{i}" for i in range(rng.randint(2, 4))]
+    count = 1 + _below(rng, 4)
+    outcomes = [f"o{i}" for i in range(2 + _below(rng, 3))]
     models = []
     for _ in range(count):
         weights = [rng.random() + 1e-9 for _ in outcomes]
@@ -419,11 +450,11 @@ def _random_models(rng: random.Random) -> tuple[list[ModelSpec], list[float]]:
         models.append(
             ModelSpec(
                 probabilities={o: w / total for o, w in zip(outcomes, weights)},
-                payoff={o: rng.choice(_LATTICE) for o in outcomes},
+                payoff={o: _LATTICE[_below(rng, len(_LATTICE))] for o in outcomes},
             )
         )
     evidence = [rng.random() for _ in range(count)]
-    evidence[rng.randrange(count)] = max(max(evidence), 0.5)
+    evidence[_below(rng, count)] = max(max(evidence), 0.5)
     return models, evidence
 
 
@@ -432,7 +463,7 @@ def _draw_evidence_scaling(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
     return (), {
         "models": models,
         "evidence": evidence,
-        "pow2": 2.0 ** rng.randint(-16, 16),
+        "pow2": 2.0 ** (_below(rng, 33) - 16),
         "factor": rng.uniform(0.01, 100.0),
     }
 
@@ -447,9 +478,10 @@ def _check_evidence_scaling(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
     # An arbitrary factor can wiggle each likelihood by one ulp; the priced
     # value and the induced preference must still agree at tolerance.
     scaled = build_gamble(models, [aux["factor"] * e for e in evidence])
-    if abs(ctx.price(scaled) - ctx.price(base)) > PAIR_TOL:
+    us, ub = ctx.vector(scaled), ctx.vector(base)
+    if abs(price_from_vector(us, ctx.premium) - price_from_vector(ub, ctx.premium)) > PAIR_TOL:
         return False
-    return ctx.prefer(scaled, base) == "equal"
+    return compare(us, ub) == "equal"
 
 
 def _payload_evidence(inputs: tuple, aux: dict) -> Any:

@@ -254,6 +254,15 @@ class TestErrorHandling:
         assert len(lines) == 1 and lines[0].startswith("lgamble: error:")
         assert "|c| <= 700.0" in lines[0]
 
+    def test_generator_past_the_size_bound(self, capsys):
+        argv = ["conformance", "--samples", "1", "--max-depth", "6", "--max-branching", "60"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("lgamble: error:")
+        assert "2**16" in lines[0]
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

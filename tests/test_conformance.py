@@ -1,5 +1,6 @@
 """Generator determinism, the law suite on the real utility, and mutation tests."""
 
+import hashlib
 import json
 import random
 
@@ -86,6 +87,46 @@ class TestGenerator:
             GenConfig(samples=-1)
         with pytest.raises(GambleError):
             GenConfig(seed=2**64)
+        # The generator's work grows as max_branching ** max_depth.
+        with pytest.raises(GambleError, match=r"<= 2\*\*16"):
+            GenConfig(max_depth=6, max_branching=7)
+        with pytest.raises(GambleError, match=r"<= 2\*\*16"):
+            GenConfig(max_depth=0, max_branching=2**16 + 1)
+        GenConfig(max_depth=6, max_branching=6)
+        GenConfig(max_depth=4, max_branching=16)
+        GenConfig(max_depth=0, max_branching=2**16)
+
+
+def sha256_of_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+class TestInstanceStream:
+    """The generated instances are pinned: a change to the draws shows here.
+
+    Branching 1 pins that a one-way choice still consumes its random bits.
+    """
+
+    @pytest.mark.parametrize("shape, digest", [
+        ((3, 1), "1e4173eca7edd5d0b84e43040c1b4fef15223891c96924ba308402349bc0ca50"),
+        ((4, 2), "9bdc3566e3cd82b78feea0b9d5d096a911ed81f38d6760c82e2ffea0d6b56dba"),
+        ((5, 3), "54482ac398c4e4d44ad9ec29899aabaeb780c9afe7d42705ebc231b7f1abf471"),
+    ], ids=["3x1", "4x2", "5x3"])
+    def test_generated_gambles(self, shape, digest):
+        max_depth, max_branching = shape
+        gambles = [
+            generate_gamble(GenConfig(seed=seed, max_depth=max_depth, max_branching=max_branching))
+            for seed in range(8)
+        ]
+        assert sha256_of_json([gamble_to_json(g) for g in gambles]) == digest
+
+    def test_mutant_report(self):
+        report = run_conformance(GenConfig(seed=77, samples=150, max_depth=4), utility_fn=sum_pair)
+        assert [r.failures for r in report.results] == [
+            0, 0, 83, 110, 0, 95, 148, 147, 0, 146, 0, 91, 0, 0, 115, 0, 129
+        ]
+        digest = "93b16b87c6d4d7e074dc7a1169b23839f81751358dd8d67387f0515827d1c20b"
+        assert sha256_of_json(report.to_json()) == digest
 
 
 class TestSuiteOnRealUtility:
