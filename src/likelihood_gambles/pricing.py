@@ -36,7 +36,14 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .gambles import Gamble, GambleError, InfiniteLogitError, _leaf_likelihoods, _require_unit
+from .gambles import (
+    Gamble,
+    GambleError,
+    InfiniteLogitError,
+    _leaf_likelihoods,
+    _require_real,
+    _require_unit,
+)
 
 __all__ = [
     "UtilityVector",
@@ -70,7 +77,12 @@ class UtilityVector:
     beta: float
 
     def __post_init__(self) -> None:
-        a, b = float(self.alpha), float(self.beta)
+        a, b = self.alpha, self.beta
+        # Every utility pair builds a vector, so exact floats skip the type check.
+        if type(a) is not float:
+            a = _require_real(a, "utility vector alpha")
+        if type(b) is not float:
+            b = _require_real(b, "utility vector beta")
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise GambleError(f"utility vector components must lie in [0, 1], got <{a}, {b}>")
         if abs(max(a, b) - 1.0) > VECTOR_TOL:

@@ -372,3 +372,15 @@ class TestCollectorPause:
                 if "gc" in names:
                     importers.add(path.name)
         assert importers == {"cli.py"}
+
+    def test_only_conformance_forks(self):
+        package = Path(likelihood_gambles.__file__).parent
+        forkers = set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr == "fork":
+                    forkers.add(path.name)
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    if any(alias.name == "fork" for alias in node.names):
+                        forkers.add(path.name)
+        assert forkers == {"conformance.py"}

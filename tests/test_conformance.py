@@ -2,7 +2,12 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +20,12 @@ from likelihood_gambles import (
     generate_gamble,
     run_conformance,
 )
+from likelihood_gambles import conformance
 from likelihood_gambles.conformance import (
     _Ctx,
     _PROPERTIES,
+    _instance_seed,
+    _random_gamble,
     _serialize,
     _shrink_candidates,
     property_names,
@@ -95,6 +103,14 @@ class TestGenerator:
         GenConfig(max_depth=6, max_branching=6)
         GenConfig(max_depth=4, max_branching=16)
         GenConfig(max_depth=0, max_branching=2**16)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_depth", 2.5), ("max_branching", 2.5), ("seed", 1.5), ("samples", 2.5),
+        ("samples", True), ("seed", False), ("max_depth", "3"), ("samples", None),
+    ])
+    def test_config_fields_must_be_integers(self, field, value):
+        with pytest.raises(GambleError, match=f"{field} must be an integer"):
+            GenConfig(**{field: value})
 
 
 def sha256_of_json(obj) -> str:
@@ -261,3 +277,136 @@ class TestMutationDetection:
         inputs, aux = prop.draw(random.Random(11), ctx)
         expected = gamble_to_json(build_gamble(aux["models"], aux["evidence"]))
         assert _serialize(inputs, aux, prop) == expected
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture
+def forced_workers(monkeypatch):
+    """Force the worker count (at most 3) and record the pid of every fork."""
+    forks = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def force(workers):
+        assert 1 <= workers <= 3
+        monkeypatch.setattr(conformance, "_worker_count", lambda instances: workers)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return forks
+
+    return force
+
+
+class TestWorkers:
+    """Strides of each law run in forked children; the report does not change."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("mutant", [False, True], ids=["passing", "sum_pair"])
+    def test_report_is_identical_for_any_worker_count(self, forced_workers, workers, mutant):
+        config = GenConfig(seed=77, samples=40, max_depth=4)
+        utility_fn = sum_pair if mutant else None
+        forced_workers(1)
+        expected = json.dumps(run_conformance(config, utility_fn=utility_fn).to_json())
+        forks = forced_workers(workers)
+        report = run_conformance(config, utility_fn=utility_fn)
+        assert len(forks) == workers - 1
+        assert json.dumps(report.to_json()) == expected
+        if mutant:
+            # Most laws first fail at index 0; evidence_scaling first fails at
+            # index 1, in a child's stride.
+            seeds = {r.seed for r in report.results if r.seed is not None}
+            assert _instance_seed(config.seed, "evidence_scaling", 1) in seeds
+        assert no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_raising_stride_raises_the_one_process_exception(self, forced_workers, workers):
+        config = GenConfig(seed=5, samples=6, max_depth=3)
+        name = "flatten_preserves_utility"
+        # Instance 1 falls in a child's stride for two and three workers.
+        rng = random.Random(_instance_seed(config.seed, name, 1))
+        target = _random_gamble(rng, config.max_depth, config.max_branching)
+
+        def raising_pair(g, c):
+            if g == target:
+                raise RuntimeError(f"no utility for {gamble_to_json(g)}")
+            return _utility_pair(g, c)
+
+        forced_workers(1)
+        with pytest.raises(RuntimeError) as one_process:
+            run_conformance(config, properties=[name], utility_fn=raising_pair)
+        forks = forced_workers(workers)
+        with pytest.raises(RuntimeError) as forked:
+            run_conformance(config, properties=[name], utility_fn=raising_pair)
+        assert len(forks) == workers - 1
+        assert str(forked.value) == str(one_process.value)
+        assert no_child_left()
+
+    def test_an_interrupt_kills_and_reaps_the_children(self, forced_workers):
+        parent = os.getpid()
+
+        def interrupted_pair(g, c):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return _utility_pair(g, c)
+
+        forks = forced_workers(3)
+        with pytest.raises(KeyboardInterrupt):
+            run_conformance(GenConfig(seed=1, samples=300), utility_fn=interrupted_pair)
+        assert len(forks) == 2
+        assert no_child_left()
+
+    def test_invalid_arguments_fork_nothing(self, forced_workers):
+        forks = forced_workers(3)
+        with pytest.raises(GambleError):
+            run_conformance(GenConfig(samples=30), properties=["no_such_law"])
+        with pytest.raises(GambleError):
+            run_conformance(GenConfig(samples=30), c=701.0)
+        assert forks == []
+        assert no_child_left()
+
+    def test_a_small_run_stays_in_one_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for 170 instances")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        report = run_conformance(GenConfig(seed=3, samples=10))
+        assert sum(r.samples for r in report.results) == 170
+        assert report.all_passed
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        per_worker = conformance._MIN_INSTANCES_PER_WORKER
+        assert conformance._worker_count(0) == 1
+        assert conformance._worker_count(170) == 1
+        assert conformance._worker_count(2 * per_worker) == 2
+        assert conformance._worker_count(100 * per_worker) == 8
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        assert conformance._worker_count(100 * per_worker) == 1
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "fork")
+        assert conformance._worker_count(100 * per_worker) == 1
+
+    def test_cli_prints_one_report(self):
+        src = Path(conformance.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-m", "likelihood_gambles.cli", "conformance", "--samples", "200",
+             "-f", "json"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        (line,) = result.stdout.splitlines()
+        report = json.loads(line)
+        assert [entry["property"] for entry in report] == property_names()
+        assert all(entry["samples"] == 200 and entry["failures"] == 0 for entry in report)

@@ -168,6 +168,12 @@ class TestCompare:
         with pytest.raises(GambleError):
             UtilityVector(1.0, 1.5)
 
+    def test_components_must_be_real(self):
+        for alpha, beta in (("0.5", 1.0), (1.0, "0.5"), (True, 0.3), (1.0, False), (None, 1.0)):
+            with pytest.raises(GambleError, match="must be a real number"):
+                UtilityVector(alpha, beta)
+        assert UtilityVector(1, 0).to_json() == {"alpha": 1.0, "beta": 0.0}
+
     def test_vector_serialization(self):
         assert UtilityVector(1.0, 0.25).to_json() == {"alpha": 1.0, "beta": 0.25}
 
