@@ -103,14 +103,12 @@ class TestGenerator:
         GenConfig(max_depth=6, max_branching=6)
         GenConfig(max_depth=4, max_branching=16)
         GenConfig(max_depth=0, max_branching=2**16)
-
-    @pytest.mark.parametrize("field, value", [
-        ("max_depth", 2.5), ("max_branching", 2.5), ("seed", 1.5), ("samples", 2.5),
-        ("samples", True), ("seed", False), ("max_depth", "3"), ("samples", None),
-    ])
-    def test_config_fields_must_be_integers(self, field, value):
-        with pytest.raises(GambleError, match=f"{field} must be an integer"):
-            GenConfig(**{field: value})
+        # Each field is an int and not a bool, or the error names the field.
+        for field, value in [("max_depth", 2.5), ("max_branching", 2.5), ("seed", 1.5),
+                             ("samples", 2.5), ("samples", True), ("seed", False),
+                             ("max_depth", "3"), ("samples", None)]:
+            with pytest.raises(GambleError, match=f"{field} must be an integer"):
+                GenConfig(**{field: value})
 
 
 def sha256_of_json(obj) -> str:
@@ -364,6 +362,16 @@ class TestWorkers:
         with pytest.raises(KeyboardInterrupt):
             run_conformance(GenConfig(seed=1, samples=300), utility_fn=interrupted_pair)
         assert len(forks) == 2
+        assert no_child_left()
+
+    def test_outcomes_larger_than_a_pipe_buffer(self, monkeypatch):
+        # A child blocks on its full pipe until the parent reads it.
+        big = "x" * 300_000
+        monkeypatch.setattr(conformance, "_run_stride",
+                            lambda selected, ctx, start, step: [(start, (start, 0, big))])
+        ctx = _Ctx(premium=0.0, config=GenConfig(samples=3), pair=_utility_pair)
+        outcomes = conformance._forked_strides([law("bounds")], ctx, 3)
+        assert outcomes == [[(stride, (stride, 0, big))] for stride in range(3)]
         assert no_child_left()
 
     def test_invalid_arguments_fork_nothing(self, forced_workers):
