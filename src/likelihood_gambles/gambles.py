@@ -24,8 +24,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections import deque
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Any, Union
 
 __all__ = [
@@ -156,13 +158,7 @@ class Gamble:
         """The constant, or the (likelihood, constant) pairs of the flattened form."""
         if self.is_constant:
             return ("constant", self.constant)
-        best = _leaf_likelihoods(self)
-        top = max(best.values())
-        if top != 1.0:
-            # Tolerated drift from within-tolerance inputs; restore exactness.
-            best = {value: lik / top for value, lik in best.items()}
-        ordered = sorted(best.items(), key=lambda item: (-item[1], item[0]))
-        return ("prospects", tuple((lik, value) for value, lik in ordered))
+        return ("prospects", tuple(zip(*_normal_columns(self))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gamble):
@@ -182,6 +178,43 @@ def as_gamble(value: GambleLike) -> Gamble:
     if isinstance(value, Gamble):
         return value
     return Gamble.from_value(value)
+
+
+# The unchecked builder.  The loader and ``flatten`` have checked every value
+# they store, so they build gambles and prospects without the constructors'
+# second check: ``object.__new__`` and the slots' own setters, which leave the
+# instances as frozen as the constructors do.  Nothing outside this module
+# builds this way.
+_NEW = object.__new__
+_SET_CONSTANT = vars(Gamble)["constant"].__set__
+_SET_PROSPECTS = vars(Gamble)["prospects"].__set__
+_SETTERS = {
+    Gamble: (_SET_CONSTANT, _SET_PROSPECTS),
+    Prospect: (vars(Prospect)["likelihood"].__set__, vars(Prospect)["reward"].__set__),
+}
+_CONSUME = deque(maxlen=0).extend
+
+
+def _unchecked(cls: type, first: Sequence, second: Iterable) -> tuple:
+    """Instances of ``cls`` whose two fields take their values from ``first`` and ``second``.
+
+    Each pass over the instances runs in C under ``map``, with no Python
+    frame per object.
+    """
+    made = tuple(map(_NEW, repeat(cls, len(first))))
+    set_first, set_second = _SETTERS[cls]
+    _CONSUME(map(set_first, made, first))
+    _CONSUME(map(set_second, made, second))
+    return made
+
+
+def _gamble(constant: float | None, prospects: tuple[Prospect, ...]) -> Gamble:
+    """One gamble from checked fields: a constant and (), or None and prospects
+    whose largest likelihood is 1."""
+    g = _NEW(Gamble)
+    _SET_CONSTANT(g, constant)
+    _SET_PROSPECTS(g, prospects)
+    return g
 
 
 @dataclass(frozen=True)
@@ -246,7 +279,7 @@ def normalize_likelihoods(raw: Sequence[float]) -> list[float]:
     """
     values = []
     for v in raw:
-        x = float(v)
+        x = v if type(v) is float else _require_real(v, "likelihood")
         if not (0.0 <= x < math.inf):  # also rejects NaN
             raise GambleError(f"likelihoods must be finite and >= 0, got {v}")
         values.append(x)
@@ -255,6 +288,8 @@ def normalize_likelihoods(raw: Sequence[float]) -> list[float]:
     top = max(values)
     if top == 0.0:
         raise DegenerateEvidenceError("evidence has probability 0 under every model")
+    if top == 1.0:
+        return values  # already normalized: x / 1.0 is x
     return [x / top for x in values]
 
 
@@ -318,6 +353,22 @@ def _leaf_likelihoods(g: Gamble) -> dict[float, float]:
     return best
 
 
+def _normal_columns(g: Gamble) -> tuple[list[float], list[float]]:
+    """Likelihoods and constants of the flattened form of a compound ``g``.
+
+    Ordered by likelihood (descending), then value: two stable sorts on
+    float keys, the second reversed, which keeps the first's order on ties.
+    """
+    best = _leaf_likelihoods(g)
+    top = max(best.values())
+    if top != 1.0:
+        # Tolerated drift from within-tolerance inputs; restore exactness.
+        best = {value: lik / top for value, lik in best.items()}
+    values = sorted(best)
+    values.sort(key=best.__getitem__, reverse=True)
+    return list(map(best.__getitem__, values)), values
+
+
 def flatten(g: Gamble) -> Gamble:
     """Equivalent gamble of depth <= 1.
 
@@ -328,8 +379,9 @@ def flatten(g: Gamble) -> Gamble:
     """
     if g.is_constant:
         return g
-    pairs = g._normal_key()[1]
-    return Gamble(prospects=tuple(Prospect(lik, Gamble(constant=value)) for lik, value in pairs))
+    likelihoods, values = _normal_columns(g)
+    rewards = _unchecked(Gamble, values, repeat(()))
+    return _gamble(None, _unchecked(Prospect, likelihoods, rewards))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +416,27 @@ def gamble_to_json(g: Gamble) -> dict[str, Any]:
     return root
 
 
+def _entries(node: Any) -> Sequence | None:
+    """The prospect entries of a gamble node, or None for a constant node."""
+    # Decoded JSON is dicts and lists: exact-type tests pass those before
+    # the slower abstract-base-class checks, which other mappings take.
+    if type(node) is not dict and not isinstance(node, Mapping):
+        raise GambleError(f"expected a JSON object, got {type(node).__name__}")
+    if "constant" in node:
+        if "prospects" in node:
+            raise GambleError("gamble object has both 'constant' and 'prospects' keys")
+        return None
+    if "prospects" not in node:
+        raise GambleError("gamble object needs a 'constant' or 'prospects' key")
+    entries = node["prospects"]
+    if (
+        type(entries) is not list
+        and (not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)))
+    ) or not entries:
+        raise GambleError("'prospects' must be a nonempty array")
+    return entries
+
+
 def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
     """Parse the dict form of a gamble.
 
@@ -372,56 +445,56 @@ def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
     instead.  Checks run depth first in document order: an entry's keys and
     likelihood before its reward, and a level's normalization once all of
     its rewards are built.  Open levels wait on an explicit stack, so depth
-    is bounded by memory, not by recursion.
+    is bounded by memory, not by recursion.  Each value is checked once, and
+    equal nonzero float constants in one document share one gamble.
     """
-    # One frame per open level: its entries, and the raw likelihoods and
-    # built rewards of the entries read so far.
-    stack: list[tuple[Sequence, list[float], list[Gamble]]] = []
-    node = obj
+    entries = _entries(obj)
+    if entries is None:
+        return Gamble(constant=obj["constant"])
+    # The constant gambles built so far, by value.  Zero is not kept: 0.0 and
+    # -0.0 are one key, and each keeps its sign.
+    shared: dict[float, Gamble] = {}
+    # One frame per open level: its entries not yet read, and the raw
+    # likelihoods and built rewards of the entries read so far.
+    stack: list[tuple[Iterator, list[float], list[Gamble]]] = [(iter(entries), [], [])]
     while True:
-        # Decoded JSON is dicts and lists: exact-type tests pass those before
-        # the slower abstract-base-class checks, which other mappings take.
-        if type(node) is not dict and not isinstance(node, Mapping):
-            raise GambleError(f"expected a JSON object, got {type(node).__name__}")
-        if "constant" in node:
-            if "prospects" in node:
-                raise GambleError("gamble object has both 'constant' and 'prospects' keys")
-            built: Gamble | None = Gamble(constant=node["constant"])
-        else:
-            if "prospects" not in node:
-                raise GambleError("gamble object needs a 'constant' or 'prospects' key")
-            entries = node["prospects"]
+        rest, raw, rewards = stack[-1]
+        for entry in rest:
             if (
-                type(entries) is not list
-                and (not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)))
-            ) or not entries:
-                raise GambleError("'prospects' must be a nonempty array")
-            stack.append((entries, [], []))
-            built = None
-        # Hand finished levels up until one has an entry left to read.
-        while True:
-            if not stack:
-                return built
-            entries, raw, rewards = stack[-1]
-            if built is not None:
-                rewards.append(built)
-            if len(rewards) < len(entries):
-                break
+                (type(entry) is not dict and not isinstance(entry, Mapping))
+                or "likelihood" not in entry
+                or "reward" not in entry
+            ):
+                raise GambleError("each prospect needs 'likelihood' and 'reward' keys")
+            lik = entry["likelihood"]
+            raw.append(lik if type(lik) is float else _require_real(lik, "likelihood"))
+            node = entry["reward"]
+            # A constant in a dict, the common node, needs no further check.
+            if type(node) is not dict or "constant" not in node or "prospects" in node:
+                entries = _entries(node)
+                if entries is not None:
+                    stack.append((iter(entries), [], []))
+                    break
+            value = node["constant"]
+            if type(value) is float and 0.0 <= value <= 1.0:
+                reward = shared.get(value)
+                if reward is None:
+                    reward = _gamble(value, ())
+                    if value:
+                        shared[value] = reward
+            else:
+                # Converts an integer, or raises the constructor's error.
+                reward = Gamble(constant=value)
+            rewards.append(reward)
+        else:
             stack.pop()
             likelihoods = normalize_likelihoods(raw)
             if strict and abs(max(raw) - 1.0) > MAX_LIKELIHOOD_TOL:
                 raise GambleError(f"strict mode: maximum likelihood is {max(raw)}, expected 1")
-            built = Gamble(prospects=tuple(map(Prospect, likelihoods, rewards)))
-        entry = entries[len(rewards)]
-        if (
-            (type(entry) is not dict and not isinstance(entry, Mapping))
-            or "likelihood" not in entry
-            or "reward" not in entry
-        ):
-            raise GambleError("each prospect needs 'likelihood' and 'reward' keys")
-        lik = entry["likelihood"]
-        raw.append(lik if type(lik) is float else _require_real(lik, "likelihood"))
-        node = entry["reward"]
+            built = _gamble(None, _unchecked(Prospect, likelihoods, rewards))
+            if not stack:
+                return built
+            stack[-1][2].append(built)  # the reward of the entry that opened it
 
 
 # The text around a constant, around a prospect list, before and after a
@@ -431,25 +504,31 @@ _REPR_TOKENS = ("Gamble(", ")", "Gamble({", "})", "", "/", "")
 
 
 def _write(g: Gamble, tokens: tuple[str, ...]) -> str:
-    """Text of ``g`` in a token set above, from a stack of pending gambles and text."""
+    """Text of ``g`` in a token set above, from a stack of the levels being written."""
     const_open, const_close, open_, close, lik_open, lik_close, reward_close = tokens
+    if g.constant is not None:
+        return f"{const_open}{g.constant!r}{const_close}"
     lik_next = ", " + lik_open
-    parts: list[str] = []
-    stack: list[Gamble | str] = [g]
+    to_constant, after_constant = lik_close + const_open, const_close + reward_close
+    to_level = lik_close + open_
+    parts = [open_]
+    sep = lik_open
+    # Each open level's prospects not yet written.
+    stack = [iter(g.prospects)]
     while stack:
-        node = stack.pop()
-        if type(node) is str:
-            parts.append(node)
-        elif node.constant is not None:
-            parts.append(f"{const_open}{node.constant!r}{const_close}")
+        for p in stack[-1]:
+            reward = p.reward
+            if reward.constant is None:
+                parts.append(f"{sep}{p.likelihood!r}{to_level}")
+                stack.append(iter(reward.prospects))
+                sep = lik_open
+                break
+            parts.append(f"{sep}{p.likelihood!r}{to_constant}{reward.constant!r}{after_constant}")
+            sep = lik_next
         else:
-            parts.append(open_)
-            stack.append(close)
-            prospects = node.prospects
-            for i in range(len(prospects) - 1, -1, -1):
-                p = prospects[i]
-                head = f"{lik_next if i else lik_open}{p.likelihood!r}{lik_close}"
-                stack += (reward_close, p.reward, head)
+            stack.pop()
+            parts.append(close + reward_close if stack else close)
+            sep = lik_next
     return "".join(parts)
 
 

@@ -95,8 +95,9 @@ class UtilityVector:
 
 
 def _require_premium(c: float) -> float:
-    """The premium as a float; rejects NaN and |c| > ``MAX_PREMIUM``."""
-    c = float(c)
+    """The premium as a float; rejects non-numbers, NaN and |c| > ``MAX_PREMIUM``."""
+    if type(c) is not float:
+        c = _require_real(c, "ambiguity premium")
     if not abs(c) <= MAX_PREMIUM:
         raise GambleError(f"ambiguity premium must satisfy |c| <= {MAX_PREMIUM}, got {c}")
     return c
@@ -104,7 +105,8 @@ def _require_premium(c: float) -> float:
 
 def logit(z: float) -> float:
     """ln(z / (1 - z)) for z strictly inside (0, 1)."""
-    z = float(z)
+    if type(z) is not float:
+        z = _require_real(z, "logit argument")
     if not (0.0 <= z <= 1.0):
         raise GambleError(f"logit argument must lie in [0, 1], got {z}")
     if z == 0.0 or z == 1.0:
@@ -114,7 +116,8 @@ def logit(z: float) -> float:
 
 def inverse_logit(t: float) -> float:
     """The logistic function 1 / (1 + exp(-t)), computed without overflow."""
-    t = float(t)
+    if type(t) is not float:
+        t = _require_real(t, "inverse_logit argument")
     if t >= 0.0:
         return 1.0 / (1.0 + math.exp(-t))
     z = math.exp(t)
@@ -216,7 +219,7 @@ def implied_prior(observed_fair_price: float) -> tuple[float, str]:
     ambiguity premium.  Returns ``(rho, classification)`` with classification
     one of ``"seeking"``, ``"neutral"``, ``"averse"``.
     """
-    p = float(observed_fair_price)
+    p = _require_real(observed_fair_price, "observed fair price")
     if p == 0.0 or p == 1.0:
         raise InfiniteLogitError(f"price {p} implies an infinite ambiguity premium")
     c = logit(p)

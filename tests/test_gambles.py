@@ -1,15 +1,19 @@
 """Core gamble model: construction, normalization, reduction, serialization."""
 
+import ast
+import dataclasses
 import io
 import json
 import math
 import random
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import likelihood_gambles
 from likelihood_gambles import (
     DegenerateEvidenceError,
     Gamble,
@@ -78,6 +82,36 @@ def reference_from_json(obj, strict=False):
     return Gamble(prospects=tuple(Prospect(l, r) for l, r in zip(likelihoods, rewards)))
 
 
+def reference_flatten(g):
+    """``flatten`` read from its contract and built with the public constructors."""
+    if g.is_constant:
+        return Gamble.from_value(g.constant)
+    # Constants key the map in the leaf walk's order, which decides whether
+    # 0.0 or -0.0 stands for both: a level's constants, then its last
+    # compound reward first.
+    best = {}
+    levels = [(1.0, g)]
+    while levels:
+        scale, node = levels.pop()
+        for p in node.prospects:
+            lik = scale * p.likelihood
+            if p.reward.is_constant:
+                best[p.reward.constant] = max(lik, best.get(p.reward.constant, -1.0))
+            else:
+                levels.append((lik, p.reward))
+    top = max(best.values())
+    pairs = sorted(((lik / top, value) for value, lik in best.items()), key=lambda x: (-x[0], x[1]))
+    return Gamble.from_prospects(pairs)
+
+
+def reference_repr(g):
+    """The paper's notation, written recursively."""
+    if g.is_constant:
+        return f"Gamble({g.constant!r})"
+    inner = ", ".join(f"{p.likelihood!r}/{reference_repr(p.reward)}" for p in g.prospects)
+    return f"Gamble({{{inner}}})"
+
+
 def assert_same_error(obj, strict=False):
     """``gamble_from_json`` raises the reference's error type and message; returns that error."""
     with pytest.raises(GambleError) as want:
@@ -106,6 +140,23 @@ def levels(obj):
         yield obj
         for entry in obj["prospects"]:
             yield from levels(entry["reward"])
+
+
+def prospect_entry(likelihood, reward):
+    return {"likelihood": likelihood, "reward": reward}
+
+
+# Levels that mix constant and compound rewards, the compound ones first,
+# last, alone and nested as the last entry of a level.
+MIXED = [
+    Gamble.from_prospects([(1.0, 0.5), (0.5, Gamble.from_prospects([(1.0, 0.2)])), (0.25, 0.3)]),
+    Gamble.from_prospects([(1.0, Gamble.from_prospects([(0.3, 0.1), (1.0, 0.9)])), (0.75, 0.4)]),
+    Gamble.from_prospects([(1.0, Gamble.from_prospects([(1.0, Gamble.from_prospects([(1.0, 1.0)]))]))]),
+    Gamble.from_prospects(
+        [(0.5, 0.0), (1.0, Gamble.from_prospects([(1.0, -0.0), (0.5, Gamble.from_prospects([(1.0, 0.7)]))]))]
+    ),
+    Gamble.from_prospects([(1.0, 0.6), (1.0, 0.2), (0.5, 0.9), (0.5, 0.1), (0.5, 0.6)]),
+]
 
 
 # Each fault edits one level of a valid dict-form gamble in place.
@@ -273,6 +324,16 @@ class TestNormalizeLikelihoods:
     def test_negative_rejected(self):
         with pytest.raises(GambleError):
             normalize_likelihoods([0.5, -0.1])
+
+    @pytest.mark.parametrize("raw", [["0.5", True], [0.5, True], [1.0, None]], ids=["str", "bool", "none"])
+    def test_non_real_values_rejected(self, raw):
+        with pytest.raises(GambleError, match="^likelihood must be a real number, got "):
+            normalize_likelihoods(raw)
+
+    def test_integers_become_floats(self):
+        assert normalize_likelihoods([1, 2]) == [0.5, 1.0]
+        with pytest.raises(GambleError, match="^likelihoods must be finite and >= 0, got -1$"):
+            normalize_likelihoods([1, -1])
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1).filter(lambda v: max(v) > 0))
     def test_maximum_becomes_exactly_one(self, raw):
@@ -528,9 +589,10 @@ class TestJson:
             gamble_from_json({"prospects": [good, entry]})
 
     def test_dump_matches_json_dumps(self):
-        for seed, g in enumerate(generated()):
-            for form in (g, flatten(g)):
+        for seed, g in enumerate(generated() + MIXED):
+            for form in (g, flatten(g), gamble_from_json(gamble_to_json(g))):
                 assert dump_gamble(form) == json.dumps(gamble_to_json(form)), seed
+                assert repr(form) == reference_repr(form), seed
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_loader_matches_recursive_reference(self, strict):
@@ -582,3 +644,104 @@ class TestJson:
         text = dump_gamble(g)
         again = dump_gamble(load_gamble(io.StringIO(text)))
         assert text == again
+
+
+class TestUncheckedBuilds:
+    """The loader and ``flatten`` store values they have checked without the
+    constructors' second check; what they build is indistinguishable from
+    what the constructors build."""
+
+    def cases(self):
+        for g in generated(range(60)) + MIXED:
+            yield unnormalized(gamble_to_json(g))
+
+    @staticmethod
+    def assert_indistinguishable(got, want):
+        assert got == want and want == got
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want) == reference_repr(want)
+        assert dump_gamble(got) == dump_gamble(want)
+
+    def test_loaded_gambles_match_the_reference(self):
+        for obj in self.cases():
+            want = reference_from_json(obj)
+            self.assert_indistinguishable(gamble_from_json(obj), want)
+            self.assert_indistinguishable(load_gamble(io.StringIO(json.dumps(obj))), want)
+
+    def test_flattened_gambles_match_the_reference(self):
+        for obj in self.cases():
+            g = gamble_from_json(obj)
+            self.assert_indistinguishable(flatten(g), reference_flatten(reference_from_json(obj)))
+
+    def test_flatten_orders_ties_by_value(self):
+        flat = flatten(MIXED[-1])
+        assert [(p.likelihood, p.reward.constant) for p in flat.prospects] == [
+            (1.0, 0.2), (1.0, 0.6), (0.5, 0.1), (0.5, 0.9)
+        ]
+
+    def test_loaded_and_flattened_gambles_are_frozen(self):
+        for g in (gamble_from_json(gamble_to_json(MIXED[0])), flatten(MIXED[0])):
+            prospect = g.prospects[0]
+            for target, name, value in (
+                (g, "constant", 0.5),
+                (g, "prospects", ()),
+                (prospect, "likelihood", 0.5),
+                (prospect, "reward", g),
+                (prospect.reward, "constant", 0.1),
+            ):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(target, name, value)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(target, name)
+
+    def test_a_shared_constant_does_not_admit_a_bool(self):
+        obj = {"prospects": [
+            prospect_entry(1.0, {"constant": 1.0}), prospect_entry(0.5, {"constant": True})
+        ]}
+        error = assert_same_error(obj)
+        assert str(error) == "constant must be a real number, got True"
+
+    def test_integers_become_floats(self):
+        ones = [(1, 1), (1.0, 1.0), (0, 1)]
+        obj = {"prospects": [prospect_entry(lik, {"constant": value}) for lik, value in ones]}
+        g = gamble_from_json(obj)
+        for p in g.prospects:
+            assert type(p.likelihood) is float and type(p.reward.constant) is float
+            assert p.reward.constant == 1.0
+        self.assert_indistinguishable(g, reference_from_json(obj))
+
+    def test_negative_zero_keeps_its_sign(self):
+        zeros = [-0.0, 0.0, -0.0, 0.0, 0.5, -0.0]
+        obj = {"prospects": [prospect_entry(1.0, {"constant": z}) for z in zeros]}
+        text = json.dumps(obj)
+        assert dump_gamble(gamble_from_json(obj)) == text
+        assert dump_gamble(load_gamble(io.StringIO(text))) == text
+        got = [math.copysign(1.0, p.reward.constant) for p in load_gamble(io.StringIO(text)).prospects]
+        assert got == [math.copysign(1.0, z) for z in zeros]
+
+    def test_dump_and_repr_of_mixed_levels(self):
+        assert repr(MIXED[0]) == "Gamble({1.0/Gamble(0.5), 0.5/Gamble({1.0/Gamble(0.2)}), 0.25/Gamble(0.3)})"
+        assert dump_gamble(MIXED[2]) == (
+            '{"prospects": [{"likelihood": 1.0, "reward": {"prospects": [{"likelihood": 1.0, '
+            '"reward": {"prospects": [{"likelihood": 1.0, "reward": {"constant": 1.0}}]}}]}}]}'
+        )
+
+    def test_only_the_gamble_module_builds_unchecked(self):
+        builders = {"_unchecked", "_gamble", "_NEW", "_SET_CONSTANT", "_SET_PROSPECTS", "_SETTERS"}
+        package = Path(likelihood_gambles.__file__).parent
+        sources = sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+        sources += sorted(package.parents[1].glob("demos/*.py"))
+        users = set()
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name in builders:
+                    users.add(path.name)
+        assert users == {"gambles.py"}

@@ -383,6 +383,36 @@ def test_premium_bound_holds_at_every_entry_point(entry, c, accepted):
             PREMIUM_ENTRY_POINTS[entry](c)
 
 
+@pytest.mark.parametrize("c", ["1.5", True, None], ids=["str", "bool", "none"])
+@pytest.mark.parametrize("entry", sorted(PREMIUM_ENTRY_POINTS))
+def test_premium_must_be_a_real_number_at_every_entry_point(entry, c):
+    with pytest.raises(GambleError, match=f"^ambiguity premium must be a real number, got {c!r}$"):
+        PREMIUM_ENTRY_POINTS[entry](c)
+
+
+def test_integer_premium_is_a_float_premium():
+    assert price(FAIR, 1) == price(FAIR, 1.0)
+    assert canonical_of_value(0.5, -2) == canonical_of_value(0.5, -2.0)
+
+
+@pytest.mark.parametrize("bad", ["0.25", True, None], ids=["str", "bool", "none"])
+def test_logistic_functions_take_real_numbers_only(bad):
+    for function, name in (
+        (logit, "logit argument"),
+        (inverse_logit, "inverse_logit argument"),
+        (implied_prior, "observed fair price"),
+    ):
+        with pytest.raises(GambleError, match=f"^{name} must be a real number, got {bad!r}$"):
+            function(bad)
+
+
+def test_logistic_functions_take_integers():
+    assert inverse_logit(0) == 0.5
+    for function in (logit, implied_prior):
+        with pytest.raises(InfiniteLogitError):
+            function(1)
+
+
 class TestImpliedPrior:
     def test_neutral(self):
         rho, kind = implied_prior(0.5)
