@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .gambles import GambleError
+from .gambles import GambleError, _require_real
 from .pricing import UtilityVector, _require_premium, inverse_logit, price_from_vector
 
 __all__ = [
@@ -110,7 +110,8 @@ def normalized_binomial_likelihood(p: float, scenario: BinomialScenario) -> floa
     Endpoints follow the 0^0 = 1 convention; the value is 1 exactly at
     p = x/m and lies in [0, 1] everywhere.
     """
-    p = float(p)
+    if type(p) is not float:
+        p = _require_real(p, "bias")
     if not (0.0 <= p <= 1.0):
         raise GambleError(f"bias must lie in [0, 1], got {p}")
     m, x = scenario.trials, scenario.successes

@@ -27,8 +27,24 @@ from .binomial import (
     render_table_text,
 )
 from .conformance import GenConfig, run_conformance
-from .gambles import GambleError, dump_gamble, flatten, load_gamble
-from .pricing import MAX_PREMIUM, canonical_equivalent, logit, prefer, price
+from .gambles import (
+    GambleError,
+    _document_leaves,
+    _flat_gamble,
+    _leaf_likelihoods,
+    _read_json,
+    dump_gamble,
+    flatten,
+    gamble_from_json,
+)
+from .pricing import (
+    MAX_PREMIUM,
+    _canonical_gamble,
+    _leaf_vector,
+    compare,
+    logit,
+    price_from_vector,
+)
 
 _SYMBOL = {"greater": ">", "equal": "=", "less": "<"}
 
@@ -98,8 +114,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The file commands read nothing of a gamble but its leaf map, each constant
+# and its likeliest path likelihood, so a valid file never becomes a Gamble.
+# Any other file goes through the loader, which raises its first error in
+# document order.
+
+
+def _leaves(path: str) -> dict[float, float]:
+    """The leaf map of a gamble file."""
+    doc = _read_json(path)
+    best = _document_leaves(doc)
+    return _leaf_likelihoods(gamble_from_json(doc)) if best is None else best
+
+
 def _cmd_price(args: argparse.Namespace) -> int:
-    value = price(load_gamble(args.file), _premium(args))
+    best = _leaves(args.file)
+    c = _premium(args)
+    value = price_from_vector(_leaf_vector(best, c), c)
     if args.format == "json":
         print(json.dumps(value))
     else:
@@ -108,18 +139,27 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    print(dump_gamble(flatten(load_gamble(args.file))))
+    doc = _read_json(args.file)
+    best = _document_leaves(doc)
+    if best is None:  # a constant root reduces to itself, through the loader
+        flat = flatten(gamble_from_json(doc))
+    else:
+        del doc  # the largest object: freed before the flat form and its text are built
+        flat = _flat_gamble(best)
+    print(dump_gamble(flat))
     return 0
 
 
 def _cmd_canonical(args: argparse.Namespace) -> int:
-    print(dump_gamble(canonical_equivalent(load_gamble(args.file), _premium(args))))
+    best = _leaves(args.file)
+    print(dump_gamble(_canonical_gamble(_leaf_vector(best, _premium(args)))))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    outcome = prefer(load_gamble(args.file1), load_gamble(args.file2), _premium(args))
-    print(_SYMBOL[outcome])
+    first, second = _leaves(args.file1), _leaves(args.file2)
+    c = _premium(args)
+    print(_SYMBOL[compare(_leaf_vector(first, c), _leaf_vector(second, c))])
     return 0
 
 

@@ -147,7 +147,10 @@ class Gamble:
     @classmethod
     def from_prospects(cls, pairs: Iterable[tuple[float, GambleLike]]) -> "Gamble":
         """Compound gamble from (likelihood, reward) pairs; bare numbers become constants."""
-        prospects = tuple(Prospect(lik, as_gamble(reward)) for lik, reward in pairs)
+        prospects = tuple(
+            Prospect(lik, reward if isinstance(reward, Gamble) else Gamble(constant=reward))
+            for lik, reward in pairs
+        )
         return cls(prospects=prospects)
 
     @property
@@ -158,7 +161,7 @@ class Gamble:
         """The constant, or the (likelihood, constant) pairs of the flattened form."""
         if self.is_constant:
             return ("constant", self.constant)
-        return ("prospects", tuple(zip(*_normal_columns(self))))
+        return ("prospects", tuple(zip(*_normal_columns(_leaf_likelihoods(self)))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gamble):
@@ -173,18 +176,11 @@ class Gamble:
         return _write(self, _REPR_TOKENS)
 
 
-def as_gamble(value: GambleLike) -> Gamble:
-    """Coerce a bare number to a constant gamble; pass gambles through."""
-    if isinstance(value, Gamble):
-        return value
-    return Gamble.from_value(value)
-
-
-# The unchecked builder.  The loader and ``flatten`` have checked every value
-# they store, so they build gambles and prospects without the constructors'
-# second check: ``object.__new__`` and the slots' own setters, which leave the
-# instances as frozen as the constructors do.  Nothing outside this module
-# builds this way.
+# The unchecked builder.  The loader and the flat builder (``flatten``, and
+# ``reduce`` from a leaf map) have checked every value they store, so they
+# build gambles and prospects without the constructors' second check:
+# ``object.__new__`` and the slots' own setters, which leave the instances as
+# frozen as the constructors do.  Nothing outside this module builds this way.
 _NEW = object.__new__
 _SET_CONSTANT = vars(Gamble)["constant"].__set__
 _SET_PROSPECTS = vars(Gamble)["prospects"].__set__
@@ -353,13 +349,62 @@ def _leaf_likelihoods(g: Gamble) -> dict[float, float]:
     return best
 
 
-def _normal_columns(g: Gamble) -> tuple[list[float], list[float]]:
-    """Likelihoods and constants of the flattened form of a compound ``g``.
+def _document_leaves(doc: Any) -> dict[float, float] | None:
+    """``_leaf_likelihoods(gamble_from_json(doc))`` for a compound ``doc``
+    read straight from the decoded document, or None.
+
+    It walks the levels in the leaf walk's last-in-first-out order, so the
+    keys come out in the same order, and it uses the loader's arithmetic:
+    each level divided by its maximum unless that is 1.0, then scaled by
+    its path.  It accepts only exact dicts, lists and in-range floats, and
+    returns None on anything else, on a level whose maximum is 0 and on a
+    constant root: the caller then runs the loader, which raises the first
+    error in document order, or builds what this walk does not read.
+    """
+    if type(doc) is not dict or "constant" in doc:
+        return None
+    best: dict[float, float] = {}
+    stack: list[tuple[float, dict]] = [(1.0, doc)]
+    while stack:
+        scale, node = stack.pop()
+        entries = node.get("prospects")
+        if type(entries) is not list or not entries:
+            return None
+        raw = []
+        for entry in entries:
+            if type(entry) is not dict:
+                return None
+            lik = entry.get("likelihood")
+            if type(lik) is not float or not 0.0 <= lik < math.inf:  # also rejects NaN
+                return None
+            raw.append(lik)
+        top = max(raw)
+        if top == 0.0:
+            return None
+        for lik, entry in zip(raw, entries):
+            if top != 1.0:
+                lik = lik / top
+            lik = scale * lik
+            reward = entry.get("reward")
+            if type(reward) is not dict:
+                return None
+            if "constant" not in reward:
+                stack.append((lik, reward))
+                continue
+            value = reward["constant"]
+            if type(value) is not float or not 0.0 <= value <= 1.0 or "prospects" in reward:
+                return None
+            if lik > best.get(value, -1.0):
+                best[value] = lik
+    return best
+
+
+def _normal_columns(best: dict[float, float]) -> tuple[list[float], list[float]]:
+    """Likelihoods and constants of the flattened form of a leaf map.
 
     Ordered by likelihood (descending), then value: two stable sorts on
     float keys, the second reversed, which keeps the first's order on ties.
     """
-    best = _leaf_likelihoods(g)
     top = max(best.values())
     if top != 1.0:
         # Tolerated drift from within-tolerance inputs; restore exactness.
@@ -377,9 +422,12 @@ def flatten(g: Gamble) -> Gamble:
     pass through unchanged; the reduction preserves utility for every
     ambiguity premium.
     """
-    if g.is_constant:
-        return g
-    likelihoods, values = _normal_columns(g)
+    return g if g.is_constant else _flat_gamble(_leaf_likelihoods(g))
+
+
+def _flat_gamble(best: dict[float, float]) -> Gamble:
+    """The flattened form of a compound gamble, from its leaf map."""
+    likelihoods, values = _normal_columns(best)
     rewards = _unchecked(Gamble, values, repeat(()))
     return _gamble(None, _unchecked(Prospect, likelihoods, rewards))
 

@@ -175,15 +175,26 @@ def compare(u: UtilityVector, v: UtilityVector) -> Ordering:
     return "greater" if ku > kv else "less"
 
 
-def _utility_pair(g: Gamble, c: float) -> tuple[float, float]:
-    """Raw (alpha, beta): the largest path-likelihood-scaled constant pair."""
+def _leaf_pair(best: dict[float, float], c: float) -> tuple[float, float]:
+    """Raw (alpha, beta) of a leaf map: the largest likelihood-scaled constant pair."""
     alpha = beta = 0.0
-    for value, lik in _leaf_likelihoods(g).items():
+    for value, lik in best.items():
         a, b = _canonical_pair(value, c)
         a, b = lik * a, lik * b
         alpha = a if a > alpha else alpha
         beta = b if b > beta else beta
     return alpha, beta
+
+
+def _utility_pair(g: Gamble, c: float) -> tuple[float, float]:
+    """Raw (alpha, beta) of a gamble, from its leaf map."""
+    return _leaf_pair(_leaf_likelihoods(g), c)
+
+
+def _leaf_vector(best: dict[float, float], c: float) -> UtilityVector:
+    """The point in B of a gamble with leaf map ``best``, under premium ``c``."""
+    alpha, beta = _leaf_pair(best, _require_premium(c))
+    return UtilityVector(alpha, beta)
 
 
 def utility_of_gamble(g: Gamble, c: float = 0.0) -> UtilityVector:
@@ -192,8 +203,7 @@ def utility_of_gamble(g: Gamble, c: float = 0.0) -> UtilityVector:
     Constants map through :func:`canonical_of_value`; a compound gamble maps
     to the pointwise maximum of its likelihood-scaled reward vectors.
     """
-    alpha, beta = _utility_pair(g, _require_premium(c))
-    return UtilityVector(alpha, beta)
+    return _leaf_vector(_leaf_likelihoods(g), c)
 
 
 def price_from_vector(u: UtilityVector, c: float = 0.0) -> float:
@@ -237,5 +247,9 @@ def canonical_equivalent(g: Gamble, c: float = 0.0) -> Gamble:
 
     Its price equals the price of ``g`` at the same premium.
     """
-    u = utility_of_gamble(g, c)
+    return _canonical_gamble(utility_of_gamble(g, c))
+
+
+def _canonical_gamble(u: UtilityVector) -> Gamble:
+    """The gamble {alpha/1, beta/0} of a utility vector."""
     return Gamble.from_prospects([(u.alpha, 1.0), (u.beta, 0.0)])

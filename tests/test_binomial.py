@@ -147,6 +147,16 @@ class TestNormalizedLikelihood:
         with pytest.raises(GambleError):
             normalized_binomial_likelihood(1.5, BinomialScenario(10, 5))
 
+    @pytest.mark.parametrize("bias", ["0.3", True, None], ids=["str", "bool", "none"])
+    def test_non_real_bias_rejected(self, bias):
+        with pytest.raises(GambleError, match="^bias must be a real number"):
+            normalized_binomial_likelihood(bias, BinomialScenario(10, 3))
+
+    def test_integer_bias_is_converted(self):
+        scenario = BinomialScenario(10, 0)
+        assert normalized_binomial_likelihood(0, scenario) == 1.0
+        assert normalized_binomial_likelihood(1, scenario) == 0.0
+
 
 class TestInternalMaxima:
     def test_all_heads_neutral(self):

@@ -9,10 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_gambles import FAULTS, MIXED, generated, levels, unnormalized
 
 import likelihood_gambles
-from likelihood_gambles import cli
+from likelihood_gambles import cli, gambles
 from likelihood_gambles.cli import main
+from likelihood_gambles.gambles import GambleError, dump_gamble, flatten, gamble_to_json, load_gamble
+from likelihood_gambles.pricing import price
 
 TWO_COINS = {
     "prospects": [
@@ -303,6 +306,114 @@ class TestErrorHandling:
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("lgamble: error:")
             assert bound in lines[0]
+
+
+def entry(likelihood, reward):
+    return {"likelihood": likelihood, "reward": reward}
+
+
+def constant(value):
+    return {"constant": value}
+
+
+# Files whose reduction and price depend on which of 0.0 and -0.0 the leaf
+# map keeps, and a constant root, which reduces to itself.
+EDGE_FILES = {
+    "zero-constants": {"prospects": [
+        entry(1.0, constant(-0.0)),
+        entry(0.5, {"prospects": [entry(1.0, constant(0.0)), entry(0.5, constant(0.4))]}),
+        entry(0.25, constant(0.0)),
+    ]},
+    "zero-constants-nested-first": {"prospects": [
+        entry(1.0, {"prospects": [entry(1.0, constant(-0.0))]}),
+        entry(0.5, {"prospects": [entry(1.0, constant(0.0)), entry(0.5, constant(0.4))]}),
+    ]},
+    "zero-likelihoods": {"prospects": [
+        entry(1.0, constant(0.5)), entry(-0.0, constant(0.3)), entry(0.0, constant(0.3)),
+    ]},
+    "zero-likelihoods-reversed": {"prospects": [
+        entry(2.0, constant(0.5)), entry(0.0, constant(0.3)),
+        entry(1.0, {"prospects": [entry(-0.0, constant(0.3)), entry(1.0, constant(1.0))]}),
+    ]},
+    "constant-root": constant(0.25),
+}
+
+
+class TestLeafMapReads:
+    """``price``, ``reduce``, ``canonical`` and ``compare`` read a valid file's
+    leaf map straight from the decoded document; the loader reads any other
+    file and raises its first error."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_FILES))
+    def test_edge_files_match_the_loaded_gamble(self, gamble_file, capsys, name):
+        path = gamble_file(EDGE_FILES[name])
+        g = load_gamble(path)
+        assert main(["reduce", path]) == 0
+        assert capsys.readouterr().out == dump_gamble(flatten(g)) + "\n"
+        for c in (0.0, 0.7, -30.0):
+            assert main(["price", "-f", "json", f"--premium={c!r}", path]) == 0
+            assert capsys.readouterr().out == json.dumps(price(g, c)) + "\n"
+
+    def test_the_first_zero_keys_the_reduction(self, gamble_file, capsys):
+        assert main(["reduce", gamble_file(EDGE_FILES["zero-constants"])]) == 0
+        assert capsys.readouterr().out == (
+            '{"prospects": [{"likelihood": 1.0, "reward": {"constant": -0.0}}, '
+            '{"likelihood": 0.25, "reward": {"constant": 0.4}}]}\n'
+        )
+        assert main(["reduce", gamble_file(EDGE_FILES["zero-likelihoods"])]) == 0
+        assert '{"likelihood": -0.0, "reward": {"constant": 0.3}}' in capsys.readouterr().out
+        assert main(["reduce", gamble_file(EDGE_FILES["constant-root"])]) == 0
+        assert capsys.readouterr().out == '{"constant": 0.25}\n'
+
+    def test_valid_files_never_reach_the_loader(self, gamble_file, capsys, monkeypatch):
+        cases = []
+        for index, g in enumerate(generated(range(30)) + MIXED):
+            if not g.is_constant:
+                path = gamble_file(unnormalized(gamble_to_json(g)), f"g{index}.json")
+                loaded = load_gamble(path)
+                cases.append((path, dump_gamble(flatten(loaded)), json.dumps(price(loaded, 0.4))))
+
+        def loader(obj, strict=False):
+            raise AssertionError("the loader ran on a valid file")
+
+        monkeypatch.setattr(gambles, "gamble_from_json", loader)
+        monkeypatch.setattr(cli, "gamble_from_json", loader)
+        for path, reduced, priced in cases:
+            assert main(["price", "-c", "0.4", "-f", "json", path]) == 0
+            assert capsys.readouterr().out == priced + "\n"
+            assert main(["reduce", path]) == 0
+            assert capsys.readouterr().out == reduced + "\n"
+            assert main(["canonical", "-c", "0.4", path]) == 0
+            assert main(["compare", "-c", "0.4", path, path]) == 0
+            assert capsys.readouterr().out.endswith("=\n")
+
+    def test_invalid_files_are_read_by_the_loader(self, gamble_file, capsys, monkeypatch):
+        raised = []
+        real = gambles.gamble_from_json
+
+        def loader(obj, strict=False):
+            try:
+                return real(obj, strict)
+            except GambleError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(cli, "gamble_from_json", loader)
+        checked = 0
+        for g in generated(range(6)):
+            base = unnormalized(gamble_to_json(g))
+            for fault in sorted(FAULTS):
+                for index in range(sum(1 for _ in levels(base))):
+                    obj = json.loads(json.dumps(base))
+                    FAULTS[fault](list(levels(obj))[index])
+                    path = gamble_file(obj)
+                    for argv in (["price", "-f", "json", path], ["reduce", path]):
+                        before = len(raised)
+                        assert main(argv) == 2
+                        assert len(raised) == before + 1
+                        assert capsys.readouterr().err == f"lgamble: error: {raised[-1]}\n"
+                        checked += 1
+        assert checked > 100
 
 
 @pytest.fixture

@@ -35,7 +35,12 @@ from likelihood_gambles import (
     normalize_likelihoods,
 )
 from likelihood_gambles.conformance import GenConfig, generate_gamble
-from likelihood_gambles.gambles import MAX_LIKELIHOOD_TOL
+from likelihood_gambles.gambles import (
+    MAX_LIKELIHOOD_TOL,
+    _document_leaves,
+    _leaf_likelihoods,
+    _read_json,
+)
 
 FAIR_COIN = ModelSpec({"head": 0.5, "tail": 0.5}, {"head": 1.0, "tail": 0.0})
 BIAS_COIN = ModelSpec({"head": 0.4, "tail": 0.6}, {"head": 1.0, "tail": 0.0})
@@ -745,3 +750,133 @@ class TestUncheckedBuilds:
                 if name in builders:
                     users.add(path.name)
         assert users == {"gambles.py"}
+
+
+def leaf_outcome(read, doc):
+    """What ``read(doc)`` gives: its leaf map as ordered key and value reprs,
+    which tell 0.0 from -0.0, or its error's type and message."""
+    try:
+        best = read(doc)
+    except GambleError as exc:
+        return type(exc), str(exc)
+    return [(repr(value), repr(lik)) for value, lik in best.items()]
+
+
+def loader_leaves(doc):
+    return _leaf_likelihoods(gamble_from_json(doc))
+
+
+def file_command_leaves(doc):
+    """The file commands' read: the document walk, or the loader where the walk gives None."""
+    best = _document_leaves(doc)
+    return loader_leaves(doc) if best is None else best
+
+
+def assert_same_leaves(doc):
+    """The file commands read the loader's leaf map or raise its error; returns the walk's result."""
+    assert leaf_outcome(file_command_leaves, doc) == leaf_outcome(loader_leaves, doc)
+    return _document_leaves(doc)
+
+
+def json_level(*entries):
+    return '{"prospects": [' + ", ".join(entries) + "]}"
+
+
+def json_entry(likelihood, reward):
+    return f'{{"likelihood": {likelihood}, "reward": {reward}}}'
+
+
+def json_constant(value):
+    return f'{{"constant": {value}}}'
+
+
+# JSON texts whose values only a decoded file can hold, and whether the walk
+# reads them (True) or leaves them to the loader (False).
+JSON_ONLY = {
+    "nan-likelihood": (json_level(json_entry("NaN", json_constant(0.5))), False),
+    "infinite-likelihood": (
+        json_level(json_entry(1.0, json_constant(0.5)), json_entry("Infinity", json_constant(0.2))),
+        False,
+    ),
+    "minus-infinite-likelihood": (json_level(json_entry("-Infinity", json_constant(0.5))), False),
+    "overflowing-likelihood": (json_level(json_entry("1e400", json_constant(0.5))), False),
+    "nan-constant": (json_level(json_entry(1.0, json_constant("NaN"))), False),
+    "negative-zero-likelihoods": (
+        json_level(
+            json_entry(2.0, json_constant(0.5)),
+            json_entry(-0.0, json_constant(0.2)),
+            json_entry(0.0, json_level(json_entry(-0.0, json_constant(0.2)), json_entry(3.0, json_constant(0.9)))),
+        ),
+        True,
+    ),
+    "negative-zero-level": (json_level(json_entry(-0.0, json_constant(0.5))), False),
+    "all-zero-nested-level": (
+        json_level(json_entry(1.0, json_level(json_entry(0.0, json_constant(0.5)), json_entry(0.0, json_constant(0.1))))),
+        False,
+    ),
+    "duplicate-keys": (
+        '{"prospects": [{"likelihood": 0.5, "likelihood": 1.0, "reward": {"constant": 0.3}, '
+        '"reward": {"constant": 0.4}}], "prospects": [{"likelihood": 0.25, "reward": '
+        '{"constant": 0.7, "constant": 0.6}}]}',
+        True,
+    ),
+    "duplicate-key-empty-last": (
+        '{"prospects": [{"likelihood": 1.0, "reward": {"constant": 0.3}}], "prospects": []}', False
+    ),
+    "extra-keys": (
+        '{"note": "x", "prospects": [{"likelihood": 1.0, "id": 3, "reward": {"constant": 0.3, "unit": null}}]}',
+        True,
+    ),
+    "integers": (json_level(json_entry(1, json_constant(0)), json_entry(2, json_constant(1))), True),
+    "constant-root": (json_constant(0.25), False),
+    "negative-zero-root": (json_constant(-0.0), False),
+    "both-keys-at-root": ('{"constant": 0.5, "prospects": [' + json_entry(1.0, json_constant(0.3)) + "]}", False),
+    "both-keys-in-a-reward": (
+        json_level(json_entry(1.0, '{"prospects": [' + json_entry(1.0, json_constant(0.3)) + '], "constant": 0.5}')),
+        False,
+    ),
+    "boolean-likelihood": (json_level(json_entry("true", json_constant(0.5))), False),
+    "null-reward": (json_level(json_entry(1.0, "null")), False),
+    "array-root": ("[1.0]", False),
+    "number-root": ("0.5", False),
+}
+
+
+class TestDocumentLeaves:
+    """The file commands read a decoded file's leaf map without building the
+    gamble; they read the loader's map, or leave the file to the loader."""
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_documents_go_to_the_loader(self, fault):
+        checked = 0
+        for g in generated(range(40)):
+            for base in (gamble_to_json(g), unnormalized(gamble_to_json(g))):
+                for index in range(sum(1 for _ in levels(base))):
+                    obj = json.loads(json.dumps(base))
+                    FAULTS[fault](list(levels(obj))[index])
+                    assert assert_same_leaves(obj) is None
+                    checked += 1
+        assert checked > 80
+
+    def test_generated_documents_are_read_by_the_walk(self):
+        for seed, g in enumerate(generated() + MIXED):
+            for obj in (gamble_to_json(g), unnormalized(gamble_to_json(g))):
+                best = assert_same_leaves(obj)
+                assert (best is None) == g.is_constant, seed
+
+    @pytest.mark.parametrize("name", sorted(JSON_ONLY))
+    def test_json_only_values(self, name):
+        text, walks = JSON_ONLY[name]
+        doc = _read_json(io.StringIO(text))
+        assert (assert_same_leaves(doc) is not None) == walks
+
+    def test_the_first_of_two_zeros_keys_the_map(self):
+        # The root level's constants come first, then its last compound reward.
+        text = json_level(
+            json_entry(1.0, json_level(json_entry(1.0, json_constant(0.0)))),
+            json_entry(1.0, json_level(json_entry(1.0, json_constant(-0.0)))),
+            json_entry(0.5, json_constant(0.3)),
+        )
+        best = _document_leaves(_read_json(io.StringIO(text)))
+        assert [repr(value) for value in best] == ["0.3", "-0.0"]
+        assert assert_same_leaves(_read_json(io.StringIO(text))) is not None
