@@ -9,12 +9,18 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_gambles import FAULTS, MIXED, generated, levels, unnormalized
+from test_gambles import FAULTS, MIXED, generated, levels, prospect_entry, unnormalized
 
 import likelihood_gambles
 from likelihood_gambles import cli, gambles
 from likelihood_gambles.cli import main
-from likelihood_gambles.gambles import GambleError, dump_gamble, flatten, gamble_to_json, load_gamble
+from likelihood_gambles.gambles import (
+    GambleError,
+    dump_gamble,
+    flatten,
+    gamble_to_json,
+    load_gamble,
+)
 from likelihood_gambles.pricing import price
 
 TWO_COINS = {
@@ -308,34 +314,35 @@ class TestErrorHandling:
             assert bound in lines[0]
 
 
-def entry(likelihood, reward):
-    return {"likelihood": likelihood, "reward": reward}
-
-
-def constant(value):
-    return {"constant": value}
-
-
 # Files whose reduction and price depend on which of 0.0 and -0.0 the leaf
 # map keeps, and a constant root, which reduces to itself.
 EDGE_FILES = {
     "zero-constants": {"prospects": [
-        entry(1.0, constant(-0.0)),
-        entry(0.5, {"prospects": [entry(1.0, constant(0.0)), entry(0.5, constant(0.4))]}),
-        entry(0.25, constant(0.0)),
+        prospect_entry(1.0, {"constant": -0.0}),
+        prospect_entry(0.5, {"prospects": [
+            prospect_entry(1.0, {"constant": 0.0}), prospect_entry(0.5, {"constant": 0.4}),
+        ]}),
+        prospect_entry(0.25, {"constant": 0.0}),
     ]},
     "zero-constants-nested-first": {"prospects": [
-        entry(1.0, {"prospects": [entry(1.0, constant(-0.0))]}),
-        entry(0.5, {"prospects": [entry(1.0, constant(0.0)), entry(0.5, constant(0.4))]}),
+        prospect_entry(1.0, {"prospects": [prospect_entry(1.0, {"constant": -0.0})]}),
+        prospect_entry(0.5, {"prospects": [
+            prospect_entry(1.0, {"constant": 0.0}), prospect_entry(0.5, {"constant": 0.4}),
+        ]}),
     ]},
     "zero-likelihoods": {"prospects": [
-        entry(1.0, constant(0.5)), entry(-0.0, constant(0.3)), entry(0.0, constant(0.3)),
+        prospect_entry(1.0, {"constant": 0.5}),
+        prospect_entry(-0.0, {"constant": 0.3}),
+        prospect_entry(0.0, {"constant": 0.3}),
     ]},
     "zero-likelihoods-reversed": {"prospects": [
-        entry(2.0, constant(0.5)), entry(0.0, constant(0.3)),
-        entry(1.0, {"prospects": [entry(-0.0, constant(0.3)), entry(1.0, constant(1.0))]}),
+        prospect_entry(2.0, {"constant": 0.5}),
+        prospect_entry(0.0, {"constant": 0.3}),
+        prospect_entry(1.0, {"prospects": [
+            prospect_entry(-0.0, {"constant": 0.3}), prospect_entry(1.0, {"constant": 1.0}),
+        ]}),
     ]},
-    "constant-root": constant(0.25),
+    "constant-root": {"constant": 0.25},
 }
 
 

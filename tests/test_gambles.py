@@ -767,13 +767,15 @@ def loader_leaves(doc):
 
 
 def file_command_leaves(doc):
-    """The file commands' read: the document walk, or the loader where the walk gives None."""
+    """The file commands' read: the document walk, or the loader where it gives None."""
     best = _document_leaves(doc)
     return loader_leaves(doc) if best is None else best
 
 
 def assert_same_leaves(doc):
-    """The file commands read the loader's leaf map or raise its error; returns the walk's result."""
+    """The file commands read the loader's leaf map or raise its error.
+
+    Returns the walk's result."""
     assert leaf_outcome(file_command_leaves, doc) == leaf_outcome(loader_leaves, doc)
     return _document_leaves(doc)
 
@@ -788,6 +790,11 @@ def json_entry(likelihood, reward):
 
 def json_constant(value):
     return f'{{"constant": {value}}}'
+
+
+def json_both(value, *entries):
+    """An object with both keys."""
+    return f'{{"constant": {value}, "prospects": [' + ", ".join(entries) + "]}"
 
 
 # JSON texts whose values only a decoded file can hold, and whether the walk
@@ -805,13 +812,17 @@ JSON_ONLY = {
         json_level(
             json_entry(2.0, json_constant(0.5)),
             json_entry(-0.0, json_constant(0.2)),
-            json_entry(0.0, json_level(json_entry(-0.0, json_constant(0.2)), json_entry(3.0, json_constant(0.9)))),
+            json_entry(0.0, json_level(
+                json_entry(-0.0, json_constant(0.2)), json_entry(3.0, json_constant(0.9))
+            )),
         ),
         True,
     ),
     "negative-zero-level": (json_level(json_entry(-0.0, json_constant(0.5))), False),
     "all-zero-nested-level": (
-        json_level(json_entry(1.0, json_level(json_entry(0.0, json_constant(0.5)), json_entry(0.0, json_constant(0.1))))),
+        json_level(json_entry(1.0, json_level(
+            json_entry(0.0, json_constant(0.5)), json_entry(0.0, json_constant(0.1))
+        ))),
         False,
     ),
     "duplicate-keys": (
@@ -821,19 +832,20 @@ JSON_ONLY = {
         True,
     ),
     "duplicate-key-empty-last": (
-        '{"prospects": [{"likelihood": 1.0, "reward": {"constant": 0.3}}], "prospects": []}', False
+        '{"prospects": [{"likelihood": 1.0, "reward": {"constant": 0.3}}], "prospects": []}',
+        False,
     ),
     "extra-keys": (
-        '{"note": "x", "prospects": [{"likelihood": 1.0, "id": 3, "reward": {"constant": 0.3, "unit": null}}]}',
+        '{"note": "x", "prospects": [{"likelihood": 1.0, "id": 3, '
+        '"reward": {"constant": 0.3, "unit": null}}]}',
         True,
     ),
     "integers": (json_level(json_entry(1, json_constant(0)), json_entry(2, json_constant(1))), True),
     "constant-root": (json_constant(0.25), False),
     "negative-zero-root": (json_constant(-0.0), False),
-    "both-keys-at-root": ('{"constant": 0.5, "prospects": [' + json_entry(1.0, json_constant(0.3)) + "]}", False),
+    "both-keys-at-root": (json_both(0.5, json_entry(1.0, json_constant(0.3))), False),
     "both-keys-in-a-reward": (
-        json_level(json_entry(1.0, '{"prospects": [' + json_entry(1.0, json_constant(0.3)) + '], "constant": 0.5}')),
-        False,
+        json_level(json_entry(1.0, json_both(0.5, json_entry(1.0, json_constant(0.3))))), False
     ),
     "boolean-likelihood": (json_level(json_entry("true", json_constant(0.5))), False),
     "null-reward": (json_level(json_entry(1.0, "null")), False),
