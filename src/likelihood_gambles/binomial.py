@@ -93,15 +93,13 @@ class PricingRow:
         }
 
 
-def _log_normalizer(m: int, x: int) -> float:
-    """log of p^x (1-p)^(m-x) at the maximum-likelihood bias, with 0^0 = 1."""
-    phat = x / m
-    out = 0.0
+def _log_likelihood(p: float, m: int, x: int, start: float = 0.0) -> float:
+    """log(p^x (1-p)^(m-x)) added term by term to ``start``, with 0^0 = 1."""
     if x:
-        out += x * math.log(phat)
+        start += x * math.log(p)
     if m - x:
-        out += (m - x) * math.log1p(-phat)
-    return out
+        start += (m - x) * math.log1p(-p)
+    return start
 
 
 def normalized_binomial_likelihood(p: float, scenario: BinomialScenario) -> float:
@@ -119,29 +117,20 @@ def normalized_binomial_likelihood(p: float, scenario: BinomialScenario) -> floa
         return 1.0 if x == 0 else 0.0
     if p == 1.0:
         return 1.0 if x == m else 0.0
-    ll = -_log_normalizer(m, x)
-    if x:
-        ll += x * math.log(p)
-    if m - x:
-        ll += (m - x) * math.log1p(-p)
-    return min(1.0, math.exp(ll))
+    return min(1.0, math.exp(_log_likelihood(p, m, x, -_log_likelihood(x / m, m, x))))
 
 
 def continuous_utility_vector(scenario: BinomialScenario) -> UtilityVector:
     """Utility vector of the bet over the full bias continuum."""
     m, x, c = scenario.trials, scenario.successes, scenario.premium
-    lognorm = _log_normalizer(m, x)
+    lognorm = _log_likelihood(x / m, m, x)
     # Endpoints: only alpha is positive at p = 1, only beta at p = 0.
     alpha = 1.0 if x == m else 0.0
     beta = 1.0 if x == 0 else 0.0
     for p in (inverse_logit(c), x / m, (x - 1) / m, (x + 1) / m):
         if not 0.0 < p < 1.0:
             continue
-        ll = -lognorm
-        if x:
-            ll += x * math.log(p)
-        if m - x:
-            ll += (m - x) * math.log1p(-p)
+        ll = _log_likelihood(p, m, x, -lognorm)
         t = math.log(p) - math.log1p(-p) - c
         alpha = max(alpha, min(1.0, math.exp(ll + min(0.0, t))))
         beta = max(beta, min(1.0, math.exp(ll + min(0.0, -t))))

@@ -17,16 +17,6 @@ import json
 import sys
 from typing import Sequence
 
-from .binomial import (
-    BinomialScenario,
-    PricingRow,
-    _pricing_row,
-    emit_table,
-    format_price,
-    render_table_csv,
-    render_table_text,
-)
-from .conformance import GenConfig, run_conformance
 from .gambles import (
     GambleError,
     _document_leaves,
@@ -45,6 +35,9 @@ from .pricing import (
     logit,
     price_from_vector,
 )
+
+# binomial and conformance are imported inside the commands that run them,
+# so no other command pays for compiling them at start-up.
 
 _SYMBOL = {"greater": ">", "equal": "=", "less": "<"}
 
@@ -134,6 +127,8 @@ def _cmd_price(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(value))
     else:
+        from .binomial import format_price
+
         print(format_price(value))
     return 0
 
@@ -163,24 +158,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rows(args: argparse.Namespace, c: float) -> list[PricingRow]:
-    if args.successes is None:
-        return emit_table(args.trials, c)
-    return [_pricing_row(BinomialScenario(args.trials, args.successes, c))]
-
-
 def _cmd_demo_binomial(args: argparse.Namespace) -> int:
-    rows = _rows(args, _premium(args))
+    from . import binomial
+
+    c = _premium(args)
+    if args.successes is None:
+        rows = binomial.emit_table(args.trials, c)
+    else:
+        rows = [binomial._pricing_row(binomial.BinomialScenario(args.trials, args.successes, c))]
     if args.format == "json":
         print(json.dumps([r.to_json() for r in rows]))
     elif args.format == "csv":
-        print(render_table_csv(rows))
+        print(binomial.render_table_csv(rows))
     else:
-        print(render_table_text(rows))
+        print(binomial.render_table_text(rows))
     return 0
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
+    from .conformance import GenConfig, run_conformance
+
     config = GenConfig(
         max_depth=args.max_depth,
         max_branching=args.max_branching,

@@ -194,16 +194,12 @@ def _close(p: tuple[float, float], q: tuple[float, float], tol: float = PAIR_TOL
     return abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
 
 
-def _draw_one(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
-    return (ctx.gamble(rng),), {}
+def _draw(count: int) -> Callable[[random.Random, _Ctx], tuple[tuple, dict]]:
+    """The draw of ``count`` gambles, one after another from the same RNG."""
+    def draw(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
+        return tuple([ctx.gamble(rng) for _ in range(count)]), {}
 
-
-def _draw_two(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
-    return (ctx.gamble(rng), ctx.gamble(rng)), {}
-
-
-def _draw_three(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
-    return (ctx.gamble(rng), ctx.gamble(rng), ctx.gamble(rng)), {}
+    return draw
 
 
 def _check_normalization(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
@@ -518,18 +514,18 @@ def _check_totality(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
 
 
 _PROPERTIES: tuple[_Property, ...] = (
-    _Property("normalization", _draw_one, _check_normalization),
-    _Property("flatten_soundness", _draw_one, _check_flatten_soundness),
-    _Property("flatten_preserves_utility", _draw_one, _check_flatten_utility),
+    _Property("normalization", _draw(1), _check_normalization),
+    _Property("flatten_soundness", _draw(1), _check_flatten_soundness),
+    _Property("flatten_preserves_utility", _draw(1), _check_flatten_utility),
     _Property("idempotence", _draw_idempotence, _check_idempotence),
     _Property("partition_substitution", _draw_partition, _check_partition),
-    _Property("bounds", _draw_one, _check_bounds),
+    _Property("bounds", _draw(1), _check_bounds),
     _Property("weak_independence", _draw_independence, _check_independence),
-    _Property("transitivity", _draw_three, _check_transitivity),
+    _Property("transitivity", _draw(3), _check_transitivity),
     _Property("numerical_order", _draw_constants, _check_numerical_order, _payload_constants),
-    _Property("archimedean_witness", _draw_three, _check_archimedean),
+    _Property("archimedean_witness", _draw(3), _check_archimedean),
     _Property("price_roundtrip", _draw_roundtrip, _check_roundtrip, _payload_roundtrip),
-    _Property("canonical_price_equality", _draw_one, _check_canonical_price),
+    _Property("canonical_price_equality", _draw(1), _check_canonical_price),
     _Property(
         "price_monotonicity", _draw_monotonicity, _check_price_monotonicity, _payload_monotonicity
     ),
@@ -538,7 +534,7 @@ _PROPERTIES: tuple[_Property, ...] = (
     _Property(
         "model_permutation", _draw_model_permutation, _check_model_permutation, _payload_evidence
     ),
-    _Property("compare_totality", _draw_two, _check_totality),
+    _Property("compare_totality", _draw(2), _check_totality),
 )
 
 

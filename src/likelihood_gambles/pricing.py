@@ -130,7 +130,7 @@ def _canonical_pair(x: float, c: float) -> tuple[float, float]:
         return 0.0, 1.0
     if x == 1.0:
         return 1.0, 0.0
-    t = logit(x) - c
+    t = math.log(x / (1.0 - x)) - c  # logit(x): callers have already checked x and c
     alpha = 1.0 if t >= 0.0 else math.exp(t)
     beta = 1.0 if t <= 0.0 else math.exp(-t)
     return alpha, beta

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_api import PUBLIC
 from test_gambles import FAULTS, MIXED, generated, levels, prospect_entry, unnormalized
 
 import likelihood_gambles
@@ -224,7 +225,7 @@ class TestConformanceCommand:
             result = PropertyResult("bounds", samples=5, failures=2, seed=1, counterexample=None)
             return ConformanceReport(premium=c, config=config, results=(result,))
 
-        monkeypatch.setattr("likelihood_gambles.cli.run_conformance", fake_run)
+        monkeypatch.setattr("likelihood_gambles.conformance.run_conformance", fake_run)
         assert main(["conformance", "--samples", "5"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -502,3 +503,70 @@ class TestCollectorPause:
                     if any(alias.name == "fork" for alias in node.names):
                         forkers.add(path.name)
         assert forkers == {"conformance.py"}
+
+
+def fresh_interpreter(body: str) -> dict:
+    """Run ``body`` in a new interpreter that imports the package from this tree.
+
+    The body leaves its result in ``out``, which comes back through JSON.
+    """
+    src = str(Path(likelihood_gambles.__file__).resolve().parents[1])
+    script = f"import json, sys\nsys.path.insert(0, {src!r})\nout = {{}}\n{body}\nprint(json.dumps(out))\n"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+LOADED = (
+    "out['loaded'] = sorted(m for m in ('likelihood_gambles.binomial', "
+    "'likelihood_gambles.conformance', 'hashlib', 'decimal') if m in sys.modules)"
+)
+
+
+class TestImportBoundary:
+    """A command imports only the modules it runs; the package API is unchanged."""
+
+    def test_cli_import_leaves_binomial_and_conformance_out(self):
+        out = fresh_interpreter(f"import likelihood_gambles.cli\n{LOADED}")
+        assert out["loaded"] == []
+
+    def test_price_json_leaves_binomial_and_conformance_out(self, gamble_file):
+        body = (
+            "from likelihood_gambles.cli import main\n"
+            f"out['code'] = main(['price', '-f', 'json', {gamble_file(TWO_COINS)!r}])\n"
+            f"{LOADED}"
+        )
+        out = fresh_interpreter(body)
+        assert out["code"] == 0
+        assert out["loaded"] == []
+
+    def test_demo_binomial_leaves_conformance_out(self):
+        body = (
+            "from likelihood_gambles.cli import main\n"
+            "out['code'] = main(['demo-binomial', '-m', '10'])\n"
+            f"{LOADED}"
+        )
+        out = fresh_interpreter(body)
+        assert out["code"] == 0
+        assert "likelihood_gambles.conformance" not in out["loaded"]
+        assert "likelihood_gambles.binomial" in out["loaded"]
+
+    def test_star_import_binds_every_public_name(self):
+        body = (
+            "import importlib\n"
+            "names = {}\n"
+            "exec('from likelihood_gambles import *', names)\n"
+            "del names['__builtins__']\n"
+            "import likelihood_gambles as lg\n"
+            "out['names'] = sorted(names)\n"
+            "out['same'] = [getattr(lg, m) is importlib.import_module('likelihood_gambles.' + m)"
+            " for m in ('binomial', 'conformance')]\n"
+            "out['missing'] = not hasattr(lg, 'no_such_name') and not hasattr(lg, '_no_such_name')\n"
+        )
+        out = fresh_interpreter(body)
+        assert out["names"] == PUBLIC
+        assert len(PUBLIC) == 43
+        assert out["same"] == [True, True]
+        assert out["missing"]
