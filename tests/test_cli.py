@@ -519,39 +519,30 @@ def fresh_interpreter(body: str) -> dict:
     return json.loads(result.stdout.splitlines()[-1])
 
 
-LOADED = (
-    "out['loaded'] = sorted(m for m in ('likelihood_gambles.binomial', "
-    "'likelihood_gambles.conformance', 'hashlib', 'decimal') if m in sys.modules)"
-)
-
-
 class TestImportBoundary:
     """A command imports only the modules it runs; the package API is unchanged."""
 
-    def test_cli_import_leaves_binomial_and_conformance_out(self):
-        out = fresh_interpreter(f"import likelihood_gambles.cli\n{LOADED}")
-        assert out["loaded"] == []
-
-    def test_price_json_leaves_binomial_and_conformance_out(self, gamble_file):
-        body = (
-            "from likelihood_gambles.cli import main\n"
-            f"out['code'] = main(['price', '-f', 'json', {gamble_file(TWO_COINS)!r}])\n"
-            f"{LOADED}"
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (None, []),
+            (["price", "-f", "json", "{file}"], []),
+            (["demo-binomial", "-m", "10"], ["decimal", "likelihood_gambles.binomial"]),
+        ],
+        ids=["import", "price-json", "demo-binomial"],
+    )
+    def test_command_loads_only_what_it_runs(self, gamble_file, argv, loaded):
+        body = "from likelihood_gambles.cli import main\n"
+        if argv is not None:
+            argv = [arg.format(file=gamble_file(TWO_COINS)) for arg in argv]
+            body += f"out['code'] = main({argv!r})\n"
+        body += (
+            "out['loaded'] = sorted(m for m in ('likelihood_gambles.binomial', "
+            "'likelihood_gambles.conformance', 'hashlib', 'decimal') if m in sys.modules)"
         )
         out = fresh_interpreter(body)
-        assert out["code"] == 0
-        assert out["loaded"] == []
-
-    def test_demo_binomial_leaves_conformance_out(self):
-        body = (
-            "from likelihood_gambles.cli import main\n"
-            "out['code'] = main(['demo-binomial', '-m', '10'])\n"
-            f"{LOADED}"
-        )
-        out = fresh_interpreter(body)
-        assert out["code"] == 0
-        assert "likelihood_gambles.conformance" not in out["loaded"]
-        assert "likelihood_gambles.binomial" in out["loaded"]
+        assert out.get("code", 0) == 0
+        assert out["loaded"] == loaded
 
     def test_star_import_binds_every_public_name(self):
         body = (
