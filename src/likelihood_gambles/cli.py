@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -29,8 +30,11 @@ from .gambles import (
 )
 from .pricing import (
     MAX_PREMIUM,
+    UtilityVector,
     _canonical_gamble,
+    _leaf_pair,
     _leaf_vector,
+    _require_premium,
     compare,
     logit,
     price_from_vector,
@@ -151,10 +155,31 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
     return 0
 
 
+# compare reduces file2 in a forked child while it reduces file1, when both
+# files have at least this many bytes and two CPUs are usable.  On a 2-vCPU
+# VM, forking made compare on two 76 KB files 6-10 ms slower, and on files of
+# 0.8-2.7 MB 11-31 % faster while the second CPU was free.
+_MIN_FORK_BYTES = 1 << 20
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
-    first, second = _leaves(args.file1), _leaves(args.file2)
+    def second() -> tuple[float, float]:  # file2's raw (alpha, beta)
+        return _leaf_pair(_leaves(args.file2), _require_premium(_premium(args)))
+
+    first = pair = None
+    try:
+        large = min(os.path.getsize(args.file1), os.path.getsize(args.file2)) >= _MIN_FORK_BYTES
+    except OSError:
+        large = False  # the reads below report it, in file order
+    if large:
+        from . import _fork  # only a large compare pays for loading it
+
+        if _fork.usable_cpus() > 1:
+            first, pair = _fork.run_forked([lambda: _leaves(args.file1), second])
+    first = _leaves(args.file1) if first is None else first
+    pair = second() if pair is None else pair  # not forked, or the child failed
     c = _premium(args)
-    print(_SYMBOL[compare(_leaf_vector(first, c), _leaf_vector(second, c))])
+    print(_SYMBOL[compare(_leaf_vector(first, c), UtilityVector(*pair))])
     return 0
 
 

@@ -22,14 +22,12 @@ corresponding law reports failures instead of raising.
 from __future__ import annotations
 
 import hashlib
-import marshal
 import math
-import os
 import random
-import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
+from . import _fork
 from .gambles import (
     Gamble,
     GambleError,
@@ -649,12 +647,11 @@ class ConformanceReport:
 
 
 # Each law's instances run in W interleaved strides (index = k mod W).  Stride
-# 0 runs in the caller; strides 1..W-1 run in forked children, which inherit
-# the laws, the evaluator and the config, so nothing is pickled.  On a 2-vCPU
-# VM (Python 3.11), one worker's fork, first-write page copies, pipe and join
-# took 3-5 ms at the median and up to 14 ms, and an instance at depth 4-5 and
-# branching 3-4 took 115-135 us.  A worker's share is at least ten times the
-# slowest overhead: 10 * 14 ms / 135 us is about 1,000 instances.
+# 0 runs in the caller; strides 1..W-1 run in forked children (``_fork``),
+# which inherit the laws, the evaluator and the config.  An instance at depth
+# 4-5 and branching 3-4 took 115-135 us on a 2-vCPU VM, so a worker's share is
+# at least ten times the slowest fork overhead: 10 * 14 ms / 135 us is about
+# 1,000 instances.
 _MIN_INSTANCES_PER_WORKER = 1000
 
 # Per law: the failure count and (index, seed, counterexample) of the
@@ -693,78 +690,20 @@ def _run_stride(selected: Sequence[_Property], ctx: _Ctx, start: int, step: int)
 
 def _worker_count(instances: int) -> int:
     """How many processes replay ``instances`` instances: one per usable CPU, within limits."""
-    # A forked child can hang on a lock that another thread held at the fork.
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, instances // _MIN_INSTANCES_PER_WORKER))
-
-
-def _stride_child(
-    selected: Sequence[_Property], ctx: _Ctx, stride: int, workers: int, write_fd: int
-) -> NoReturn:
-    """Run one stride in a forked child, send its outcome and exit without cleanup."""
-    status = 1
-    try:
-        data = marshal.dumps(_run_stride(selected, ctx, stride, workers))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        # Never return into the caller's stack: no atexit handlers, no test
-        # teardown and no flush of the buffers the fork copied.
-        os._exit(status)
+    return max(1, min(_fork.usable_cpus(), instances // _MIN_INSTANCES_PER_WORKER))
 
 
 def _forked_strides(
     selected: Sequence[_Property], ctx: _Ctx, workers: int
 ) -> list[_StrideOutcome] | None:
-    """Every stride's outcome, or None if a worker failed or a stride raised.
-
-    No child outlives the call: an interrupt kills and reaps them before it
-    propagates.
-    """
-    pids: list[int] = []
-    pipes: list[int] = []
+    """Every stride's outcome, or None if a worker failed or a stride raised."""
     try:
-        for stride in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(read_fd)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _stride_child(selected, ctx, stride, workers, write_fd)
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        outcomes = [_run_stride(selected, ctx, 0, workers)]
-        sent = []
-        # Read to EOF before waiting: a child blocks while its pipe is full.
-        for read_fd in pipes:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                sent.append(pipe.read())
-        failed = False
-        while pids:
-            _, status = os.waitpid(pids[-1], 0)
-            pids.pop()
-            failed = failed or status != 0
-        if failed:
-            return None
-        return outcomes + [marshal.loads(data) for data in sent]
+        outcomes = _fork.run_forked(
+            [lambda k=k: _run_stride(selected, ctx, k, workers) for k in range(workers)]
+        )
     except Exception:
         return None
-    finally:
-        for read_fd in pipes:
-            os.close(read_fd)
-        if pids:
-            import signal  # only a failed or interrupted run needs it; start-up does not
-
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    return None if None in outcomes else outcomes
 
 
 def run_conformance(

@@ -4,16 +4,20 @@ import ast
 import gc
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from test_api import PUBLIC
+from test_conformance import no_child_left
 from test_gambles import FAULTS, MIXED, generated, levels, prospect_entry, unnormalized
 
 import likelihood_gambles
-from likelihood_gambles import cli, gambles
+from likelihood_gambles import _fork, cli, gambles
 from likelihood_gambles.cli import main
 from likelihood_gambles.gambles import (
     GambleError,
@@ -425,6 +429,184 @@ class TestLeafMapReads:
 
 
 @pytest.fixture
+def forked_compare(monkeypatch):
+    """Make ``compare`` fork for files of any size on two CPUs; record every fork."""
+    forks = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "_MIN_FORK_BYTES", 0)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
+def run_cli(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestForkedCompare:
+    """``compare`` reduces ``file2`` in a forked child; what it prints does not change."""
+
+    def one_process(self, capsys, argv):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_MIN_FORK_BYTES", math.inf)
+            return run_cli(capsys, argv)
+
+    def test_output_matches_the_one_process_run(self, gamble_file, capsys, forked_compare):
+        # A constant 0.5 and a fully ambiguous gamble are equal at c = 0 only.
+        ambiguous = {"prospects": [prospect_entry(1.0, {"constant": 1.0}),
+                                   prospect_entry(1.0, {"constant": 0.0})]}
+        objs = [{"constant": 0.5}, ambiguous] + [EDGE_FILES[name] for name in sorted(EDGE_FILES)]
+        objs += [unnormalized(gamble_to_json(g)) for g in generated(range(8)) + MIXED]
+        paths = [gamble_file(obj, f"g{index}.json") for index, obj in enumerate(objs)]
+        runs = 0
+        outputs = set()
+        for first, second in zip(paths, paths[1:] + paths[:1]):
+            for files in ([first, second], [second, first]):
+                for premium in (["-c", "0"], ["-c", "-30"], ["--rho", "0.7"]):
+                    argv = ["compare", *premium, *files]
+                    expected = self.one_process(capsys, argv)
+                    assert expected[0] == 0 and expected[1] in (">\n", "=\n", "<\n")
+                    assert run_cli(capsys, argv) == expected
+                    outputs.add((*files, premium[0], expected[1]))
+                    runs += 1
+        assert len(forked_compare) == runs
+        assert {output[2:] for output in outputs if output[:2] == (paths[1], paths[0])} == {
+            ("-c", "=\n"), ("-c", "<\n"), ("--rho", ">\n")
+        }
+        assert no_child_left()
+
+    def test_the_child_reads_file2(self, gamble_file, capsys, forked_compare, monkeypatch):
+        better = gamble_file({"constant": 0.7}, "better.json")
+        worse = gamble_file({"constant": 0.2}, "worse.json")
+        parent = os.getpid()
+        real = cli._leaves
+
+        def leaves(path):
+            assert (os.getpid() == parent) == (path == better)
+            return real(path)
+
+        monkeypatch.setattr(cli, "_leaves", leaves)
+        assert run_cli(capsys, ["compare", better, worse]) == (0, ">\n", "")
+        assert len(forked_compare) == 1
+        assert no_child_left()
+
+    def test_a_killed_child_is_replaced_by_a_read_here(self, gamble_file, capsys,
+                                                       forked_compare, monkeypatch):
+        parent = os.getpid()
+        real = cli._leaves
+
+        def leaves(path):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(path)
+
+        monkeypatch.setattr(cli, "_leaves", leaves)
+        better = gamble_file({"constant": 0.7}, "better.json")
+        worse = gamble_file({"constant": 0.2}, "worse.json")
+        assert run_cli(capsys, ["compare", worse, better]) == (0, "<\n", "")
+        assert len(forked_compare) == 1
+        assert no_child_left()
+
+    def test_a_failed_fork_is_replaced_by_a_read_here(self, gamble_file, capsys, monkeypatch):
+        def failing_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "_MIN_FORK_BYTES", 0)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        better = gamble_file({"constant": 0.7}, "better.json")
+        worse = gamble_file({"constant": 0.2}, "worse.json")
+        assert run_cli(capsys, ["compare", better, worse]) == (0, ">\n", "")
+        assert _fork.run_forked([lambda: 1, lambda: 2, lambda: 3]) == [1, None, None]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("premium", [[], ["-c", "800"], ["--rho", "1.5"]],
+                             ids=["valid", "premium-past-bound", "rho-out-of-range"])
+    def test_a_bad_file1_is_reported_before_file2(self, gamble_file, tmp_path, capsys,
+                                                  forked_compare, premium):
+        bad = gamble_file({"constant": 2.0}, "bad.json")
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json", encoding="utf-8")
+        missing = [str(tmp_path / "missing1.json"), str(tmp_path / "missing2.json")]
+        for files in ([bad, str(broken)], [str(broken), bad], missing):
+            argv = ["compare", *premium, *files]
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out, err) == self.one_process(capsys, argv)
+            _, _, alone = run_cli(capsys, ["reduce", files[0]])
+            assert code == 2 and out == "" and err == alone
+        assert "missing1.json" in err and "missing2.json" not in err
+        assert len(forked_compare) == 2  # a missing file is read here, without a fork
+        assert no_child_left()
+
+    @pytest.mark.parametrize("premium", [[], ["-c", "800"]], ids=["valid", "premium-past-bound"])
+    def test_a_bad_or_missing_file2_is_read_again_here(self, gamble_file, tmp_path, capsys,
+                                                        forked_compare, premium):
+        good = gamble_file(TWO_COINS, "good.json")
+        bad = gamble_file({"prospects": [prospect_entry("0.5", {"constant": 0.5})]}, "bad.json")
+        for second in (bad, str(tmp_path / "missing.json")):
+            argv = ["compare", *premium, good, second]
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out, err) == self.one_process(capsys, argv)
+            assert code == 2 and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("lgamble: error:")
+        assert len(forked_compare) == 1  # a missing file is read here, without a fork
+        assert no_child_left()
+
+    def test_a_bad_premium_is_reported_after_both_files(self, gamble_file, capsys, forked_compare):
+        argv = ["compare", "-c", "800", gamble_file(TWO_COINS), gamble_file(NESTED, "n.json")]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == self.one_process(capsys, argv)
+        assert code == 2 and "|c| <= 700.0" in err
+        assert no_child_left()
+
+    def test_an_interrupt_kills_and_reaps_the_child(self, gamble_file, forked_compare, monkeypatch):
+        parent = os.getpid()
+        real = cli._leaves
+
+        def leaves(path):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # still running when the parent is interrupted
+            return real(path)
+
+        monkeypatch.setattr(cli, "_leaves", leaves)
+        path = gamble_file(TWO_COINS)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", path, path])
+        assert time.monotonic() - started < 30
+        assert len(forked_compare) == 1
+        assert no_child_left()
+
+    def test_small_files_stay_in_one_process(self, gamble_file, capsys, monkeypatch):
+        def no_fork():
+            raise AssertionError("compare forked for a small file")
+
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = gamble_file(TWO_COINS)
+        assert cli._MIN_FORK_BYTES > os.path.getsize(path)
+        assert run_cli(capsys, ["compare", path, path]) == (0, "=\n", "")
+
+    def test_one_usable_cpu_stays_in_one_process(self, gamble_file, capsys, forked_compare,
+                                                  monkeypatch):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        path = gamble_file(TWO_COINS)
+        assert run_cli(capsys, ["compare", path, path]) == (0, "=\n", "")
+        assert forked_compare == []
+
+
+@pytest.fixture
 def collector():
     """Set the cyclic collector's state for one test and restore it afterwards."""
     before = gc.isenabled()
@@ -492,7 +674,7 @@ class TestCollectorPause:
                     importers.add(path.name)
         assert importers == {"cli.py"}
 
-    def test_only_conformance_forks(self):
+    def test_only_the_fork_helper_forks(self):
         package = Path(likelihood_gambles.__file__).parent
         forkers = set()
         for path in sorted(package.glob("*.py")):
@@ -502,7 +684,7 @@ class TestCollectorPause:
                 elif isinstance(node, ast.ImportFrom) and node.module == "os":
                     if any(alias.name == "fork" for alias in node.names):
                         forkers.add(path.name)
-        assert forkers == {"conformance.py"}
+        assert forkers == {"_fork.py"}
 
 
 def fresh_interpreter(body: str) -> dict:
@@ -528,8 +710,9 @@ class TestImportBoundary:
             (None, []),
             (["price", "-f", "json", "{file}"], []),
             (["demo-binomial", "-m", "10"], ["decimal", "likelihood_gambles.binomial"]),
+            (["compare", "{file}", "{file}"], []),
         ],
-        ids=["import", "price-json", "demo-binomial"],
+        ids=["import", "price-json", "demo-binomial", "compare"],
     )
     def test_command_loads_only_what_it_runs(self, gamble_file, argv, loaded):
         body = "from likelihood_gambles.cli import main\n"
@@ -538,7 +721,8 @@ class TestImportBoundary:
             body += f"out['code'] = main({argv!r})\n"
         body += (
             "out['loaded'] = sorted(m for m in ('likelihood_gambles.binomial', "
-            "'likelihood_gambles.conformance', 'hashlib', 'decimal') if m in sys.modules)"
+            "'likelihood_gambles.conformance', 'likelihood_gambles._fork', 'hashlib', 'decimal') "
+            "if m in sys.modules)"
         )
         out = fresh_interpreter(body)
         assert out.get("code", 0) == 0
