@@ -21,7 +21,7 @@ from typing import Sequence
 from .gambles import (
     GambleError,
     _document_leaves,
-    _flat_gamble,
+    _dump_flat,
     _leaf_likelihoods,
     _read_json,
     dump_gamble,
@@ -141,11 +141,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     doc = _read_json(args.file)
     best = _document_leaves(doc)
     if best is None:  # a constant root reduces to itself, through the loader
-        flat = flatten(gamble_from_json(doc))
+        print(dump_gamble(flatten(gamble_from_json(doc))))
     else:
-        del doc  # the largest object: freed before the flat form and its text are built
-        flat = _flat_gamble(best)
-    print(dump_gamble(flat))
+        del doc  # the largest object: freed before the flat text is built
+        _dump_flat(best, sys.stdout)
+        print()
     return 0
 
 

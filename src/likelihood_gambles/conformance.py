@@ -27,7 +27,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from . import _fork
 from .gambles import (
     Gamble,
     GambleError,
@@ -690,13 +689,19 @@ def _run_stride(selected: Sequence[_Property], ctx: _Ctx, start: int, step: int)
 
 def _worker_count(instances: int) -> int:
     """How many processes replay ``instances`` instances: one per usable CPU, within limits."""
-    return max(1, min(_fork.usable_cpus(), instances // _MIN_INSTANCES_PER_WORKER))
+    if instances < 2 * _MIN_INSTANCES_PER_WORKER:
+        return 1  # too few for a second worker, so the fork helper is not even loaded
+    from . import _fork
+
+    return min(_fork.usable_cpus(), instances // _MIN_INSTANCES_PER_WORKER)
 
 
 def _forked_strides(
     selected: Sequence[_Property], ctx: _Ctx, workers: int
 ) -> list[_StrideOutcome] | None:
     """Every stride's outcome, or None if a worker failed or a stride raised."""
+    from . import _fork
+
     try:
         outcomes = _fork.run_forked(
             [lambda k=k: _run_stride(selected, ctx, k, workers) for k in range(workers)]

@@ -24,10 +24,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import IO, Any, Union
 
 __all__ = [
@@ -42,14 +40,12 @@ __all__ = [
     "normalize_likelihoods",
     "build_gamble",
     "depth",
-    "compound_likelihood",
     "flatten",
     "gamble_to_json",
     "gamble_from_json",
     "dump_gamble",
     "load_gamble",
     "model_from_json",
-    "load_model",
 ]
 
 # Compound gambles must have max prospect likelihood equal to 1 within this.
@@ -176,43 +172,6 @@ class Gamble:
         return _write(self, _REPR_TOKENS)
 
 
-# The unchecked builder.  The loader and the flat builder (``flatten``, and
-# ``reduce`` from a leaf map) have checked every value they store, so they
-# build gambles and prospects without the constructors' second check:
-# ``object.__new__`` and the slots' own setters, which leave the instances as
-# frozen as the constructors do.  Nothing outside this module builds this way.
-_NEW = object.__new__
-_SET_CONSTANT = vars(Gamble)["constant"].__set__
-_SET_PROSPECTS = vars(Gamble)["prospects"].__set__
-_SETTERS = {
-    Gamble: (_SET_CONSTANT, _SET_PROSPECTS),
-    Prospect: (vars(Prospect)["likelihood"].__set__, vars(Prospect)["reward"].__set__),
-}
-_CONSUME = deque(maxlen=0).extend
-
-
-def _unchecked(cls: type, first: Sequence, second: Iterable) -> tuple:
-    """Instances of ``cls`` whose two fields take their values from ``first`` and ``second``.
-
-    Each pass over the instances runs in C under ``map``, with no Python
-    frame per object.
-    """
-    made = tuple(map(_NEW, repeat(cls, len(first))))
-    set_first, set_second = _SETTERS[cls]
-    _CONSUME(map(set_first, made, first))
-    _CONSUME(map(set_second, made, second))
-    return made
-
-
-def _gamble(constant: float | None, prospects: tuple[Prospect, ...]) -> Gamble:
-    """One gamble from checked fields: a constant and (), or None and prospects
-    whose largest likelihood is 1."""
-    g = _NEW(Gamble)
-    _SET_CONSTANT(g, constant)
-    _SET_PROSPECTS(g, prospects)
-    return g
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """A probability model over outcome labels plus an action's payoff table.
@@ -318,11 +277,6 @@ def depth(g: Gamble) -> int:
     return deepest
 
 
-def compound_likelihood(l1: float, l2: float) -> float:
-    """Likelihood of jointly holding two independent models: the product."""
-    return _require_unit(l1, "l1") * _require_unit(l2, "l2")
-
-
 def _leaf_likelihoods(g: Gamble) -> dict[float, float]:
     """Each constant reachable from ``g`` mapped to its largest path likelihood.
 
@@ -422,14 +376,10 @@ def flatten(g: Gamble) -> Gamble:
     pass through unchanged; the reduction preserves utility for every
     ambiguity premium.
     """
-    return g if g.is_constant else _flat_gamble(_leaf_likelihoods(g))
-
-
-def _flat_gamble(best: dict[float, float]) -> Gamble:
-    """The flattened form of a compound gamble, from its leaf map."""
-    likelihoods, values = _normal_columns(best)
-    rewards = _unchecked(Gamble, values, repeat(()))
-    return _gamble(None, _unchecked(Prospect, likelihoods, rewards))
+    if g.is_constant:
+        return g
+    likelihoods, values = _normal_columns(_leaf_likelihoods(g))
+    return Gamble(prospects=tuple(map(Prospect, likelihoods, map(Gamble.from_value, values))))
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +443,13 @@ def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
     instead.  Checks run depth first in document order: an entry's keys and
     likelihood before its reward, and a level's normalization once all of
     its rewards are built.  Open levels wait on an explicit stack, so depth
-    is bounded by memory, not by recursion.  Each value is checked once, and
-    equal nonzero float constants in one document share one gamble.
+    is bounded by memory, not by recursion.  Every gamble and prospect is
+    built by its constructor, which converts an integer constant or raises
+    its own error on a bad one.
     """
     entries = _entries(obj)
     if entries is None:
         return Gamble(constant=obj["constant"])
-    # The constant gambles built so far, by value.  Zero is not kept: 0.0 and
-    # -0.0 are one key, and each keeps its sign.
-    shared: dict[float, Gamble] = {}
     # One frame per open level: its entries not yet read, and the raw
     # likelihoods and built rewards of the entries read so far.
     stack: list[tuple[Iterator, list[float], list[Gamble]]] = [(iter(entries), [], [])]
@@ -517,29 +465,19 @@ def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
             lik = entry["likelihood"]
             raw.append(lik if type(lik) is float else _require_real(lik, "likelihood"))
             node = entry["reward"]
-            # A constant in a dict, the common node, needs no further check.
+            # A constant in a dict, the common node, needs no _entries check.
             if type(node) is not dict or "constant" not in node or "prospects" in node:
                 entries = _entries(node)
                 if entries is not None:
                     stack.append((iter(entries), [], []))
                     break
-            value = node["constant"]
-            if type(value) is float and 0.0 <= value <= 1.0:
-                reward = shared.get(value)
-                if reward is None:
-                    reward = _gamble(value, ())
-                    if value:
-                        shared[value] = reward
-            else:
-                # Converts an integer, or raises the constructor's error.
-                reward = Gamble(constant=value)
-            rewards.append(reward)
+            rewards.append(Gamble(constant=node["constant"]))
         else:
             stack.pop()
             likelihoods = normalize_likelihoods(raw)
             if strict and abs(max(raw) - 1.0) > MAX_LIKELIHOOD_TOL:
                 raise GambleError(f"strict mode: maximum likelihood is {max(raw)}, expected 1")
-            built = _gamble(None, _unchecked(Prospect, likelihoods, rewards))
+            built = Gamble(prospects=tuple(map(Prospect, likelihoods, rewards)))
             if not stack:
                 return built
             stack[-1][2].append(built)  # the reward of the entry that opened it
@@ -592,6 +530,22 @@ def dump_gamble(g: Gamble, fp: IO[str] | None = None) -> str:
     return text
 
 
+def _dump_flat(best: dict[float, float], fp: IO[str]) -> None:
+    """Write ``dump_gamble(flatten(g))`` to ``fp`` for a compound ``g`` whose
+    leaf map is ``best``, straight from the flat form's columns.
+
+    No gamble is built, and each prospect's text is written as it is made,
+    so the text of the whole gamble is never held at once.
+    """
+    const_open, const_close, open_, close, lik_open, lik_close, reward_close = _JSON_TOKENS
+    to_constant, after_constant = lik_close + const_open, const_close + reward_close
+    sep, lik_next = open_ + lik_open, ", " + lik_open
+    for lik, value in zip(*_normal_columns(best)):
+        fp.write(f"{sep}{lik!r}{to_constant}{value!r}{after_constant}")
+        sep = lik_next
+    fp.write(close)
+
+
 def _read_json(source: str | IO[str]) -> Any:
     """Decode JSON from a file path or open text stream.
 
@@ -624,8 +578,3 @@ def model_from_json(obj: Any) -> ModelSpec:
     if not isinstance(obj, Mapping) or "probabilities" not in obj or "payoff" not in obj:
         raise InvalidModelError("model object needs 'probabilities' and 'payoff' keys")
     return ModelSpec(probabilities=obj["probabilities"], payoff=obj["payoff"])
-
-
-def load_model(source: str | IO[str]) -> ModelSpec:
-    """Read a model specification from a file path or open text stream."""
-    return model_from_json(_read_json(source))

@@ -31,7 +31,6 @@ PUBLIC = [
     "canonical_equivalent",
     "canonical_of_value",
     "compare",
-    "compound_likelihood",
     "continuous_utility_vector",
     "depth",
     "dump_gamble",
@@ -46,7 +45,6 @@ PUBLIC = [
     "inverse_logit",
     "likelihood_price",
     "load_gamble",
-    "load_model",
     "logit",
     "model_from_json",
     "normalize_likelihoods",

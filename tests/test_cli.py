@@ -390,14 +390,21 @@ class TestLeafMapReads:
 
         monkeypatch.setattr(gambles, "gamble_from_json", loader)
         monkeypatch.setattr(cli, "gamble_from_json", loader)
+        for path, _, _ in cases:
+            assert main(["canonical", "-c", "0.4", path]) == 0  # builds only its two-prospect twin
+        capsys.readouterr()
+
+        def built(self):
+            raise AssertionError("a prospect was built from a valid file")
+
+        monkeypatch.setattr(gambles.Prospect, "__post_init__", built)
         for path, reduced, priced in cases:
             assert main(["price", "-c", "0.4", "-f", "json", path]) == 0
             assert capsys.readouterr().out == priced + "\n"
             assert main(["reduce", path]) == 0
             assert capsys.readouterr().out == reduced + "\n"
-            assert main(["canonical", "-c", "0.4", path]) == 0
             assert main(["compare", "-c", "0.4", path, path]) == 0
-            assert capsys.readouterr().out.endswith("=\n")
+            assert capsys.readouterr().out == "=\n"
 
     def test_invalid_files_are_read_by_the_loader(self, gamble_file, capsys, monkeypatch):
         raised = []
@@ -711,8 +718,9 @@ class TestImportBoundary:
             (["price", "-f", "json", "{file}"], []),
             (["demo-binomial", "-m", "10"], ["decimal", "likelihood_gambles.binomial"]),
             (["compare", "{file}", "{file}"], []),
+            (["conformance", "--samples", "10"], ["hashlib", "likelihood_gambles.conformance"]),
         ],
-        ids=["import", "price-json", "demo-binomial", "compare"],
+        ids=["import", "price-json", "demo-binomial", "compare", "conformance-small"],
     )
     def test_command_loads_only_what_it_runs(self, gamble_file, argv, loaded):
         body = "from likelihood_gambles.cli import main\n"
@@ -742,6 +750,6 @@ class TestImportBoundary:
         )
         out = fresh_interpreter(body)
         assert out["names"] == PUBLIC
-        assert len(PUBLIC) == 43
+        assert len(PUBLIC) == 41
         assert out["same"] == [True, True]
         assert out["missing"]
