@@ -187,8 +187,8 @@ class _Property:
     payload: Callable[[tuple, dict], Any] | None = None
 
 
-def _close(p: tuple[float, float], q: tuple[float, float], tol: float = PAIR_TOL) -> bool:
-    return abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
+def _close(p: tuple[float, float], q: tuple[float, float]) -> bool:
+    return abs(p[0] - q[0]) <= PAIR_TOL and abs(p[1] - q[1]) <= PAIR_TOL
 
 
 def _draw(count: int) -> Callable[[random.Random, _Ctx], tuple[tuple, dict]]:
@@ -626,8 +626,6 @@ class PropertyResult:
 
 @dataclass(frozen=True)
 class ConformanceReport:
-    premium: float
-    config: GenConfig
     results: tuple[PropertyResult, ...]
 
     @property
@@ -696,21 +694,6 @@ def _worker_count(instances: int) -> int:
     return min(_fork.usable_cpus(), instances // _MIN_INSTANCES_PER_WORKER)
 
 
-def _forked_strides(
-    selected: Sequence[_Property], ctx: _Ctx, workers: int
-) -> list[_StrideOutcome] | None:
-    """Every stride's outcome, or None if a worker failed or a stride raised."""
-    from . import _fork
-
-    try:
-        outcomes = _fork.run_forked(
-            [lambda k=k: _run_stride(selected, ctx, k, workers) for k in range(workers)]
-        )
-    except Exception:
-        return None
-    return None if None in outcomes else outcomes
-
-
 def run_conformance(
     config: GenConfig,
     c: float = 0.0,
@@ -735,8 +718,16 @@ def run_conformance(
         selected = [known[name] for name in properties]
     ctx = _Ctx(premium=c, config=config, pair=utility_fn or _utility_pair)
     workers = _worker_count(config.samples * len(selected))
-    outcomes = _forked_strides(selected, ctx, workers) if workers > 1 else None
-    if outcomes is None:
+    outcomes = None
+    if workers > 1:
+        from . import _fork
+
+        calls = [lambda k=k: _run_stride(selected, ctx, k, workers) for k in range(workers)]
+        try:
+            outcomes = _fork.run_forked(calls)
+        except Exception:
+            pass
+    if outcomes is None or None in outcomes:
         # The one-process run, and the rerun that raises what a stride raised.
         outcomes = [_run_stride(selected, ctx, 0, 1)]
     results = []
@@ -746,4 +737,4 @@ def run_conformance(
         # Indices differ across strides: the smallest is the one-process first failure.
         _, seed, counterexample = min(firsts, key=lambda first: first[0], default=(None,) * 3)
         results.append(PropertyResult(prop.name, config.samples, failures, seed, counterexample))
-    return ConformanceReport(premium=c, config=config, results=tuple(results))
+    return ConformanceReport(tuple(results))

@@ -45,7 +45,6 @@ __all__ = [
     "gamble_from_json",
     "dump_gamble",
     "load_gamble",
-    "model_from_json",
 ]
 
 # Compound gambles must have max prospect likelihood equal to 1 within this.
@@ -387,7 +386,6 @@ def flatten(g: Gamble) -> Gamble:
 #
 # Gamble:  {"constant": 0.5}
 #          {"prospects": [{"likelihood": 1.0, "reward": {"constant": 0.5}}, ...]}
-# Model:   {"probabilities": {"head": 0.5, "tail": 0.5}, "payoff": {"head": 1.0, "tail": 0.0}}
 # ---------------------------------------------------------------------------
 
 
@@ -414,11 +412,9 @@ def gamble_to_json(g: Gamble) -> dict[str, Any]:
     return root
 
 
-def _entries(node: Any) -> Sequence | None:
-    """The prospect entries of a gamble node, or None for a constant node."""
-    # Decoded JSON is dicts and lists: exact-type tests pass those before
-    # the slower abstract-base-class checks, which other mappings take.
-    if type(node) is not dict and not isinstance(node, Mapping):
+def _entries(node: Any) -> list | None:
+    """The prospect list of a decoded gamble node, or None for a constant node."""
+    if not isinstance(node, dict):
         raise GambleError(f"expected a JSON object, got {type(node).__name__}")
     if "constant" in node:
         if "prospects" in node:
@@ -427,20 +423,17 @@ def _entries(node: Any) -> Sequence | None:
     if "prospects" not in node:
         raise GambleError("gamble object needs a 'constant' or 'prospects' key")
     entries = node["prospects"]
-    if (
-        type(entries) is not list
-        and (not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)))
-    ) or not entries:
+    if not isinstance(entries, list) or not entries:
         raise GambleError("'prospects' must be a nonempty array")
     return entries
 
 
-def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
-    """Parse the dict form of a gamble.
+def gamble_from_json(obj: Any) -> Gamble:
+    """Parse the decoded-JSON form of a gamble: dicts, lists and numbers.
 
     Un-normalized likelihoods are accepted and divided by their maximum at
-    each level; with ``strict=True`` a maximum differing from 1 is rejected
-    instead.  Checks run depth first in document order: an entry's keys and
+    each level.  Other mappings and sequences raise the errors of a wrong
+    type.  Checks run depth first in document order: an entry's keys and
     likelihood before its reward, and a level's normalization once all of
     its rewards are built.  Open levels wait on an explicit stack, so depth
     is bounded by memory, not by recursion.  Every gamble and prospect is
@@ -456,11 +449,7 @@ def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
     while True:
         rest, raw, rewards = stack[-1]
         for entry in rest:
-            if (
-                (type(entry) is not dict and not isinstance(entry, Mapping))
-                or "likelihood" not in entry
-                or "reward" not in entry
-            ):
+            if not isinstance(entry, dict) or "likelihood" not in entry or "reward" not in entry:
                 raise GambleError("each prospect needs 'likelihood' and 'reward' keys")
             lik = entry["likelihood"]
             raw.append(lik if type(lik) is float else _require_real(lik, "likelihood"))
@@ -474,10 +463,7 @@ def gamble_from_json(obj: Any, strict: bool = False) -> Gamble:
             rewards.append(Gamble(constant=node["constant"]))
         else:
             stack.pop()
-            likelihoods = normalize_likelihoods(raw)
-            if strict and abs(max(raw) - 1.0) > MAX_LIKELIHOOD_TOL:
-                raise GambleError(f"strict mode: maximum likelihood is {max(raw)}, expected 1")
-            built = Gamble(prospects=tuple(map(Prospect, likelihoods, rewards)))
+            built = Gamble(prospects=tuple(map(Prospect, normalize_likelihoods(raw), rewards)))
             if not stack:
                 return built
             stack[-1][2].append(built)  # the reward of the entry that opened it
@@ -518,16 +504,13 @@ def _write(g: Gamble, tokens: tuple[str, ...]) -> str:
     return "".join(parts)
 
 
-def dump_gamble(g: Gamble, fp: IO[str] | None = None) -> str:
-    """Serialize a gamble to JSON text; also write it to ``fp`` if given.
+def dump_gamble(g: Gamble) -> str:
+    """The JSON text of a gamble.
 
     The text equals ``json.dumps(gamble_to_json(g))`` and is written without
     recursion, so any depth that fits in memory serializes.
     """
-    text = _write(g, _JSON_TOKENS)
-    if fp is not None:
-        fp.write(text)
-    return text
+    return _write(g, _JSON_TOKENS)
 
 
 def _dump_flat(best: dict[float, float], fp: IO[str]) -> None:
@@ -568,13 +551,6 @@ def _read_json(source: str | IO[str]) -> Any:
         ) from None
 
 
-def load_gamble(source: str | IO[str], strict: bool = False) -> Gamble:
+def load_gamble(source: str | IO[str]) -> Gamble:
     """Read a gamble from a file path or open text stream."""
-    return gamble_from_json(_read_json(source), strict=strict)
-
-
-def model_from_json(obj: Any) -> ModelSpec:
-    """Parse the dict form of a model specification."""
-    if not isinstance(obj, Mapping) or "probabilities" not in obj or "payoff" not in obj:
-        raise InvalidModelError("model object needs 'probabilities' and 'payoff' keys")
-    return ModelSpec(probabilities=obj["probabilities"], payoff=obj["payoff"])
+    return gamble_from_json(_read_json(source))

@@ -90,9 +90,6 @@ class UtilityVector:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
 
-    def to_json(self) -> dict[str, float]:
-        return {"alpha": self.alpha, "beta": self.beta}
-
 
 def _require_premium(c: float) -> float:
     """The premium as a float; rejects non-numbers, NaN and |c| > ``MAX_PREMIUM``."""

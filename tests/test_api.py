@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -46,7 +47,6 @@ PUBLIC = [
     "likelihood_price",
     "load_gamble",
     "logit",
-    "model_from_json",
     "normalize_likelihoods",
     "normalized_binomial_likelihood",
     "prefer",
@@ -57,6 +57,46 @@ PUBLIC = [
     "run_conformance",
     "utility_of_gamble",
 ]
+
+# The parameters of every public callable: adding or removing an option shows here.
+PARAMETERS = {
+    "BinomialScenario": ["trials", "successes", "premium"],
+    "Gamble": ["constant", "prospects"],
+    "GenConfig": ["max_depth", "max_branching", "seed", "samples"],
+    "ModelSpec": ["probabilities", "payoff"],
+    "PricingRow": ["successes", "likelihood", "uniform", "jeffreys", "novick_hall"],
+    "Prospect": ["likelihood", "reward"],
+    "UtilityVector": ["alpha", "beta"],
+    "bayesian_prices": ["scenario"],
+    "build_gamble": ["models", "evidence_probabilities"],
+    "canonical_equivalent": ["g", "c"],
+    "canonical_of_value": ["x", "c"],
+    "compare": ["u", "v"],
+    "continuous_utility_vector": ["scenario"],
+    "depth": ["g"],
+    "dump_gamble": ["g"],
+    "emit_table": ["m", "c"],
+    "expected_utility": ["model"],
+    "flatten": ["g"],
+    "format_price": ["value"],
+    "gamble_from_json": ["obj"],
+    "gamble_to_json": ["g"],
+    "generate_gamble": ["config"],
+    "implied_prior": ["observed_fair_price"],
+    "inverse_logit": ["t"],
+    "likelihood_price": ["scenario"],
+    "load_gamble": ["source"],
+    "logit": ["z"],
+    "normalize_likelihoods": ["raw"],
+    "normalized_binomial_likelihood": ["p", "scenario"],
+    "prefer": ["g1", "g2", "c"],
+    "price": ["g", "c"],
+    "price_from_vector": ["u", "c"],
+    "render_table_csv": ["rows"],
+    "render_table_text": ["rows"],
+    "run_conformance": ["config", "c", "properties", "utility_fn"],
+    "utility_of_gamble": ["g", "c"],
+}
 
 
 def python_blocks() -> list[str]:
@@ -89,6 +129,17 @@ def test_module_declarations_are_disjoint_and_resolve():
         for public in declared:
             assert getattr(likelihood_gambles, public) is getattr(module, public)
     assert seen == set(PUBLIC)
+
+
+def test_public_parameters_are_pinned():
+    objects = {name: getattr(likelihood_gambles, name) for name in PUBLIC}
+    pinned = {
+        name: list(inspect.signature(obj).parameters)
+        for name, obj in objects.items()
+        if not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
+    assert len(pinned) == 36
+    assert pinned == PARAMETERS
 
 
 @pytest.mark.parametrize(

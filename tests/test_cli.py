@@ -223,11 +223,11 @@ class TestConformanceCommand:
         assert all(entry["failures"] == 0 for entry in payload)
 
     def test_failing_run_exits_one(self, capsys, monkeypatch):
-        from likelihood_gambles.conformance import ConformanceReport, GenConfig, PropertyResult
+        from likelihood_gambles.conformance import ConformanceReport, PropertyResult
 
         def fake_run(config, c, properties=None, utility_fn=None):
             result = PropertyResult("bounds", samples=5, failures=2, seed=1, counterexample=None)
-            return ConformanceReport(premium=c, config=config, results=(result,))
+            return ConformanceReport((result,))
 
         monkeypatch.setattr("likelihood_gambles.conformance.run_conformance", fake_run)
         assert main(["conformance", "--samples", "5"]) == 1
@@ -385,7 +385,7 @@ class TestLeafMapReads:
                 loaded = load_gamble(path)
                 cases.append((path, dump_gamble(flatten(loaded)), json.dumps(price(loaded, 0.4))))
 
-        def loader(obj, strict=False):
+        def loader(obj):
             raise AssertionError("the loader ran on a valid file")
 
         monkeypatch.setattr(gambles, "gamble_from_json", loader)
@@ -410,9 +410,9 @@ class TestLeafMapReads:
         raised = []
         real = gambles.gamble_from_json
 
-        def loader(obj, strict=False):
+        def loader(obj):
             try:
-                return real(obj, strict)
+                return real(obj)
             except GambleError as exc:
                 raised.append(str(exc))
                 raise
@@ -750,6 +750,6 @@ class TestImportBoundary:
         )
         out = fresh_interpreter(body)
         assert out["names"] == PUBLIC
-        assert len(PUBLIC) == 41
+        assert len(PUBLIC) == 40
         assert out["same"] == [True, True]
         assert out["missing"]

@@ -20,7 +20,7 @@ from likelihood_gambles import (
     generate_gamble,
     run_conformance,
 )
-from likelihood_gambles import conformance
+from likelihood_gambles import _fork, conformance
 from likelihood_gambles.conformance import (
     _Ctx,
     _PROPERTIES,
@@ -364,14 +364,11 @@ class TestWorkers:
         assert len(forks) == 2
         assert no_child_left()
 
-    def test_outcomes_larger_than_a_pipe_buffer(self, monkeypatch):
+    def test_outcomes_larger_than_a_pipe_buffer(self):
         # A child blocks on its full pipe until the parent reads it.
         big = "x" * 300_000
-        monkeypatch.setattr(conformance, "_run_stride",
-                            lambda selected, ctx, start, step: [(start, (start, 0, big))])
-        ctx = _Ctx(premium=0.0, config=GenConfig(samples=3), pair=_utility_pair)
-        outcomes = conformance._forked_strides([law("bounds")], ctx, 3)
-        assert outcomes == [[(stride, (stride, 0, big))] for stride in range(3)]
+        outcomes = _fork.run_forked([lambda k=k: [(k, (k, 0, big))] for k in range(3)])
+        assert outcomes == [[(k, (k, 0, big))] for k in range(3)]
         assert no_child_left()
 
     def test_invalid_arguments_fork_nothing(self, forced_workers):
