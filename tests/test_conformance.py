@@ -59,6 +59,21 @@ def swapped_pair(g: Gamble, c: float) -> tuple[float, float]:
     return _utility_pair(g, c)[::-1]
 
 
+def zero_as_one_pair(g: Gamble, c: float) -> tuple[float, float]:
+    """Deliberately broken evaluator: a prospect of likelihood 0 counts as likelihood 1."""
+    if g.is_constant:
+        u = canonical_of_value(g.constant, c)
+        return u.alpha, u.beta
+    alpha = 0.0
+    beta = 0.0
+    for p in g.prospects:
+        a, b = zero_as_one_pair(p.reward, c)
+        lik = p.likelihood or 1.0
+        alpha = max(alpha, lik * a)
+        beta = max(beta, lik * b)
+    return alpha, beta
+
+
 def law(name: str):
     return next(p for p in _PROPERTIES if p.name == name)
 
@@ -140,6 +155,20 @@ class TestInstanceStream:
             0, 0, 83, 110, 0, 95, 148, 147, 0, 146, 0, 91, 0, 0, 115, 0, 129
         ]
         digest = "93b16b87c6d4d7e074dc7a1169b23839f81751358dd8d67387f0515827d1c20b"
+        assert sha256_of_json(report.to_json()) == digest
+
+    @pytest.mark.parametrize("mutant, failures, digest", [
+        (swapped_pair, [0, 0, 0, 0, 0, 200, 0, 0, 190, 0, 200, 181, 200, 0, 0, 0, 0],
+         "1ba1a3afb8f1622fb6d94fae34f2e6780b8f027dec695ebbe7951833b9756342"),
+        (zero_as_one_pair, [0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 14, 0, 132, 0, 0, 0],
+         "c28370d95bb7d142aab4d274d9969070d73c2b05fa92184d824535e355db55cb"),
+    ], ids=["swapped_pair", "zero_as_one_pair"])
+    def test_counterexample_report(self, mutant, failures, digest):
+        # Pins the counterexamples of numerical_order, price_roundtrip,
+        # price_monotonicity and zero_prospect_inert, which sum_pair never fails.
+        config = GenConfig(seed=7, samples=200, max_depth=4, max_branching=3)
+        report = run_conformance(config, utility_fn=mutant)
+        assert [r.failures for r in report.results] == failures
         assert sha256_of_json(report.to_json()) == digest
 
 
