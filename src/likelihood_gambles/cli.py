@@ -25,7 +25,6 @@ from .gambles import (
     _leaf_likelihoods,
     _read_json,
     dump_gamble,
-    flatten,
     gamble_from_json,
 )
 from .pricing import (
@@ -141,7 +140,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     doc = _read_json(args.file)
     best = _document_leaves(doc)
     if best is None:  # a constant root reduces to itself, through the loader
-        print(dump_gamble(flatten(gamble_from_json(doc))))
+        print(dump_gamble(gamble_from_json(doc)))
     else:
         del doc  # the largest object: freed before the flat text is built
         _dump_flat(best, sys.stdout)

@@ -40,6 +40,7 @@ from .gambles import (
 from .pricing import (
     Ordering,
     UtilityVector,
+    _canonical_gamble,
     _require_premium,
     _utility_pair,
     compare,
@@ -153,9 +154,10 @@ def _instance_seed(seed: int, name: str, index: int) -> int:
 # ---------------------------------------------------------------------------
 # Property checks
 #
-# A property draws its inputs from a seeded RNG, then evaluates a pure
-# predicate.  `inputs` holds the gambles eligible for shrinking; `aux`
-# carries everything else the predicate needs, fixed at draw time.
+# A property draws from a seeded RNG, then evaluates a pure predicate.
+# `inputs` are the gambles the law checks: a failure shrinks them and reports
+# them.  `aux` holds the fixed non-gamble parameters.  A law that draws no
+# gamble reports its payload, the gambles built from its draw, instead.
 # ---------------------------------------------------------------------------
 
 
@@ -323,22 +325,15 @@ def _draw_constants(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
         # Widening gaps below 1e-11 leaves a margin for rounding in the
         # canonical pair, whose small component is subnormal near |c| = 700.
         y = max(0.0, x - 0.01)
-    return (), {"x": x, "y": y}
+    return (Gamble.from_value(x), Gamble.from_value(y)), {}
 
 
 def _check_numerical_order(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
-    x, y = aux["x"], aux["y"]
-    outcome = ctx.prefer(Gamble.from_value(x), Gamble.from_value(y))
-    if x == y:
+    gx, gy = inputs
+    outcome = ctx.prefer(gx, gy)
+    if gx.constant == gy.constant:
         return outcome == "equal"
     return outcome == "greater"
-
-
-def _payload_constants(inputs: tuple, aux: dict) -> Any:
-    return [
-        gamble_to_json(Gamble.from_value(aux["x"])),
-        gamble_to_json(Gamble.from_value(aux["y"])),
-    ]
 
 
 def _check_archimedean(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
@@ -378,23 +373,18 @@ def _check_archimedean(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
 
 
 def _draw_roundtrip(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
-    return (), {"x": rng.random()}
+    return (Gamble.from_value(rng.random()),), {}
 
 
 def _check_roundtrip(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
-    x = aux["x"]
-    return abs(ctx.price(Gamble.from_value(x)) - x) <= ROUNDTRIP_TOL
-
-
-def _payload_roundtrip(inputs: tuple, aux: dict) -> Any:
-    return gamble_to_json(Gamble.from_value(aux["x"]))
+    (g,) = inputs
+    return abs(ctx.price(g) - g.constant) <= ROUNDTRIP_TOL
 
 
 def _check_canonical_price(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
     (g,) = inputs
     u = ctx.vector(g)
-    canonical = Gamble.from_prospects([(u.alpha, 1.0), (u.beta, 0.0)])
-    return abs(ctx.price(canonical) - price_from_vector(u, ctx.premium)) <= PAIR_TOL
+    return abs(ctx.price(_canonical_gamble(u)) - price_from_vector(u, ctx.premium)) <= PAIR_TOL
 
 
 def _draw_monotonicity(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
@@ -405,7 +395,7 @@ def _check_price_monotonicity(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
     low, high = aux["pair"]
 
     def canonical_price(alpha: float, beta: float) -> float:
-        return ctx.price(Gamble.from_prospects([(alpha, 1.0), (beta, 0.0)]))
+        return ctx.price(_canonical_gamble(UtilityVector(alpha, beta)))
 
     # Lower beta cannot hurt, higher alpha cannot hurt, and the top border
     # always weakly beats the right border.
@@ -418,18 +408,7 @@ def _check_price_monotonicity(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
 
 
 def _payload_monotonicity(inputs: tuple, aux: dict) -> Any:
-    low, high = aux["pair"]
-    return [
-        gamble_to_json(Gamble.from_prospects([(1.0, 1.0), (low, 0.0)])),
-        gamble_to_json(Gamble.from_prospects([(1.0, 1.0), (high, 0.0)])),
-    ]
-
-
-def _draw_zero_prospect(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
-    g = ctx.gamble(rng)
-    if g.is_constant:
-        g = Gamble.from_prospects([(1.0, g)])
-    return (g, ctx.gamble(rng)), {}
+    return [gamble_to_json(_canonical_gamble(UtilityVector(1.0, lik))) for lik in aux["pair"]]
 
 
 def _check_zero_prospect(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
@@ -519,14 +498,14 @@ _PROPERTIES: tuple[_Property, ...] = (
     _Property("bounds", _draw(1), _check_bounds),
     _Property("weak_independence", _draw_independence, _check_independence),
     _Property("transitivity", _draw(3), _check_transitivity),
-    _Property("numerical_order", _draw_constants, _check_numerical_order, _payload_constants),
+    _Property("numerical_order", _draw_constants, _check_numerical_order),
     _Property("archimedean_witness", _draw(3), _check_archimedean),
-    _Property("price_roundtrip", _draw_roundtrip, _check_roundtrip, _payload_roundtrip),
+    _Property("price_roundtrip", _draw_roundtrip, _check_roundtrip),
     _Property("canonical_price_equality", _draw(1), _check_canonical_price),
     _Property(
         "price_monotonicity", _draw_monotonicity, _check_price_monotonicity, _payload_monotonicity
     ),
-    _Property("zero_prospect_inert", _draw_zero_prospect, _check_zero_prospect),
+    _Property("zero_prospect_inert", _draw(2), _check_zero_prospect),
     _Property("evidence_scaling", _draw_evidence_scaling, _check_evidence_scaling, _payload_evidence),
     _Property(
         "model_permutation", _draw_model_permutation, _check_model_permutation, _payload_evidence
@@ -565,39 +544,32 @@ def _shrink_candidates(g: Gamble) -> Iterable[Gamble]:
             )
 
 
+def _trials(inputs: tuple) -> Iterable[tuple]:
+    """``inputs`` with one gamble swapped for each of its shrink candidates, in order."""
+    for i, g in enumerate(inputs):
+        for candidate in _shrink_candidates(g):
+            yield inputs[:i] + (candidate,) + inputs[i + 1 :]
+
+
 def _shrink(inputs: tuple, aux: dict, prop: _Property, ctx: _Ctx) -> tuple:
-    current = list(inputs)
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for i, item in enumerate(current):
-            if not isinstance(item, Gamble):
-                continue
-            for candidate in _shrink_candidates(item):
-                trial = list(current)
-                trial[i] = candidate
-                try:
-                    still_failing = not prop.holds(tuple(trial), aux, ctx)
-                except GambleError:
-                    still_failing = True
-                if still_failing:
-                    current = trial
-                    shrunk = True
-                    break
-            if shrunk:
+    while True:
+        for trial in _trials(inputs):
+            try:
+                still_failing = not prop.holds(trial, aux, ctx)
+            except GambleError:
+                still_failing = True
+            if still_failing:
+                inputs = trial
                 break
-    return tuple(current)
+        else:
+            return inputs
 
 
 def _serialize(inputs: tuple, aux: dict, prop: _Property) -> Any:
     if prop.payload is not None:
         return prop.payload(inputs, aux)
-    gambles = [gamble_to_json(item) for item in inputs if isinstance(item, Gamble)]
-    if not gambles:
-        return None
-    if len(gambles) == 1:
-        return gambles[0]
-    return gambles
+    gambles = [gamble_to_json(g) for g in inputs]
+    return gambles[0] if len(gambles) == 1 else gambles
 
 
 @dataclass(frozen=True)
@@ -675,7 +647,7 @@ def _run_stride(selected: Sequence[_Property], ctx: _Ctx, start: int, step: int)
             if not ok:
                 failures += 1
                 if first is None:
-                    shrunk = _shrink(inputs, aux, prop, ctx) if inputs else inputs
+                    shrunk = _shrink(inputs, aux, prop, ctx)
                     try:
                         counterexample = _serialize(shrunk, aux, prop)
                     except GambleError:
