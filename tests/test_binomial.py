@@ -306,10 +306,13 @@ class TestTable:
         assert all(0.0 <= r.likelihood <= 1.0 for r in rows)
 
     def test_trial_count_validated(self):
-        with pytest.raises(GambleError):
-            emit_table(0)
-        with pytest.raises(GambleError):
-            emit_table(-3)
+        for m in (0, -3, True, 1.5, "5"):
+            with pytest.raises(GambleError) as info:
+                emit_table(m, 800.0)  # the trial count is checked before the premium
+            assert str(info.value) == f"trials must be a positive integer, got {m!r}"
+        with pytest.raises(GambleError) as info:
+            emit_table(10, 800.0)
+        assert str(info.value) == "ambiguity premium must satisfy |c| <= 700.0, got 800.0"
 
     def test_text_rendering(self):
         text = render_table_text(emit_table(10, 0.0))

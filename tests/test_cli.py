@@ -394,10 +394,10 @@ class TestLeafMapReads:
             assert main(["canonical", "-c", "0.4", path]) == 0  # builds only its two-prospect twin
         capsys.readouterr()
 
-        def built(self):
+        def built(self, *args, **kwargs):
             raise AssertionError("a prospect was built from a valid file")
 
-        monkeypatch.setattr(gambles.Prospect, "__post_init__", built)
+        monkeypatch.setattr(gambles.Prospect, "__init__", built)
         for path, reduced, priced in cases:
             assert main(["price", "-c", "0.4", "-f", "json", path]) == 0
             assert capsys.readouterr().out == priced + "\n"

@@ -644,7 +644,7 @@ class TestUncheckedBuilds:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     delattr(target, name)
 
-    def test_a_shared_constant_does_not_admit_a_bool(self):
+    def test_a_bool_constant_beside_a_valid_one_is_rejected(self):
         obj = {"prospects": [
             prospect_entry(1.0, {"constant": 1.0}), prospect_entry(0.5, {"constant": True})
         ]}
