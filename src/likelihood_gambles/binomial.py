@@ -108,8 +108,7 @@ def normalized_binomial_likelihood(p: float, scenario: BinomialScenario) -> floa
     Endpoints follow the 0^0 = 1 convention; the value is 1 exactly at
     p = x/m and lies in [0, 1] everywhere.
     """
-    if type(p) is not float:
-        p = _require_real(p, "bias")
+    p = _require_real(p, "bias")
     if not (0.0 <= p <= 1.0):
         raise GambleError(f"bias must lie in [0, 1], got {p}")
     m, x = scenario.trials, scenario.successes
@@ -155,8 +154,7 @@ def _pricing_row(scenario: BinomialScenario) -> PricingRow:
 
 def emit_table(m: int, c: float = 0.0) -> list[PricingRow]:
     """All rows x = 0..m comparing the likelihood price with the Bayesian ones."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise GambleError(f"trials must be a positive integer, got {m!r}")
+    BinomialScenario(m, 0, c)  # checks the trial count, then the premium
     return [_pricing_row(BinomialScenario(m, x, c)) for x in range(m + 1)]
 
 

@@ -32,6 +32,7 @@ from .gambles import (
     GambleError,
     ModelSpec,
     Prospect,
+    _compound_nodes,
     build_gamble,
     depth,
     flatten,
@@ -202,15 +203,10 @@ def _draw(count: int) -> Callable[[random.Random, _Ctx], tuple[tuple, dict]]:
 
 
 def _check_normalization(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
-    stack = [inputs[0]]
-    while stack:
-        g = stack.pop()
-        if g.is_constant:
-            continue
-        if abs(max(p.likelihood for p in g.prospects) - 1.0) > PAIR_TOL:
-            return False
-        stack.extend(p.reward for p in g.prospects)
-    return True
+    return all(
+        abs(max(p.likelihood for p in node.prospects) - 1.0) <= PAIR_TOL
+        for _, node in _compound_nodes(inputs[0])
+    )
 
 
 def _check_flatten_soundness(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:

@@ -26,7 +26,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import IO, Any, Union
+from typing import IO, Any
 
 __all__ = [
     "GambleError",
@@ -80,9 +80,6 @@ def _require_unit(value: Any, name: str) -> float:
     if not (0.0 <= x <= 1.0):  # also rejects NaN
         raise GambleError(f"{name} must lie in [0, 1], got {x}")
     return x
-
-
-GambleLike = Union["Gamble", float, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +137,7 @@ class Gamble:
         return cls(constant=value)
 
     @classmethod
-    def from_prospects(cls, pairs: Iterable[tuple[float, GambleLike]]) -> "Gamble":
+    def from_prospects(cls, pairs: Iterable[tuple[float, Gamble | float | int]]) -> "Gamble":
         """Compound gamble from (likelihood, reward) pairs; bare numbers become constants."""
         prospects = tuple(
             Prospect(lik, reward if isinstance(reward, Gamble) else Gamble(constant=reward))
@@ -242,8 +239,6 @@ def normalize_likelihoods(raw: Sequence[float]) -> list[float]:
     top = max(values)
     if top == 0.0:
         raise DegenerateEvidenceError("evidence has probability 0 under every model")
-    if top == 1.0:
-        return values  # already normalized: x / 1.0 is x
     return [x / top for x in values]
 
 
@@ -263,17 +258,18 @@ def build_gamble(models: Sequence[ModelSpec], evidence_probabilities: Sequence[f
     )
 
 
-def depth(g: Gamble) -> int:
-    """Nesting depth: 0 for constants, 1 + deepest reward otherwise."""
-    deepest = 0
-    stack = [(0, g)]
+def _compound_nodes(g: Gamble) -> Iterator[tuple[int, Gamble]]:
+    """(level, node) for each compound node in ``g``, the root at level 1, off a stack."""
+    stack = [] if g.constant is not None else [(1, g)]
     while stack:
         level, node = stack.pop()
-        if node.constant is None:
-            level += 1
-            deepest = max(deepest, level)
-            stack.extend((level, p.reward) for p in node.prospects)
-    return deepest
+        yield level, node
+        stack.extend((level + 1, p.reward) for p in node.prospects if p.reward.constant is None)
+
+
+def depth(g: Gamble) -> int:
+    """Nesting depth: 0 for constants, 1 + deepest reward otherwise."""
+    return max((level for level, _ in _compound_nodes(g)), default=0)
 
 
 def _leaf_likelihoods(g: Gamble) -> dict[float, float]:
@@ -308,11 +304,12 @@ def _document_leaves(doc: Any) -> dict[float, float] | None:
 
     It walks the levels in the leaf walk's last-in-first-out order, so the
     keys come out in the same order, and it uses the loader's arithmetic:
-    each level divided by its maximum unless that is 1.0, then scaled by
-    its path.  It accepts only exact dicts, lists and in-range floats, and
-    returns None on anything else, on a level whose maximum is 0 and on a
-    constant root: the caller then runs the loader, which raises the first
-    error in document order, or builds what this walk does not read.
+    each level divided by its maximum, a step it skips when that is 1.0,
+    then scaled by its path.  It accepts only exact dicts, lists and
+    in-range floats, and returns None on anything else, on a level whose
+    maximum is 0 and on a constant root: the caller then runs the loader,
+    which raises the first error in document order, or builds what this
+    walk does not read.
     """
     if type(doc) is not dict or "constant" in doc:
         return None

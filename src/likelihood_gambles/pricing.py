@@ -102,8 +102,7 @@ def _require_premium(c: float) -> float:
 
 def logit(z: float) -> float:
     """ln(z / (1 - z)) for z strictly inside (0, 1)."""
-    if type(z) is not float:
-        z = _require_real(z, "logit argument")
+    z = _require_real(z, "logit argument")
     if not (0.0 <= z <= 1.0):
         raise GambleError(f"logit argument must lie in [0, 1], got {z}")
     if z == 0.0 or z == 1.0:
