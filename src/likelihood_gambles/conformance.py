@@ -119,6 +119,15 @@ def _random_likelihood(rng: random.Random) -> float:
     return rng.random()
 
 
+# The generator's builder fills the frozen slots through their descriptors and
+# skips the constructors' checks, which are about half of the draws' time.  Each
+# likelihood it sets is lik / top, a float in [0, 1] whose level maximum is
+# exactly 1.0, and each reward is a gamble; the normalization law re-checks both.
+_new = object.__new__
+_set_likelihood, _set_reward = Prospect.likelihood.__set__, Prospect.reward.__set__
+_set_constant, _set_prospects = Gamble.constant.__set__, Gamble.prospects.__set__
+
+
 def _random_gamble(rng: random.Random, depth_budget: int, max_branching: int) -> Gamble:
     if depth_budget == 0 or rng.random() < 0.3:
         return _LATTICE_GAMBLES[_below(rng, len(_LATTICE))]
@@ -130,10 +139,16 @@ def _random_gamble(rng: random.Random, depth_budget: int, max_branching: int) ->
         likelihoods[_below(rng, k)] = 1.0
         top = 1.0
     depth_budget -= 1
-    prospects = [
-        Prospect(lik / top, _random_gamble(rng, depth_budget, max_branching)) for lik in likelihoods
-    ]
-    return Gamble(prospects=tuple(prospects))
+    prospects = []
+    for lik in likelihoods:
+        p = _new(Prospect)
+        _set_likelihood(p, lik / top)
+        _set_reward(p, _random_gamble(rng, depth_budget, max_branching))
+        prospects.append(p)
+    g = _new(Gamble)
+    _set_constant(g, None)
+    _set_prospects(g, tuple(prospects))
+    return g
 
 
 def generate_gamble(config: GenConfig) -> Gamble:
@@ -203,10 +218,18 @@ def _draw(count: int) -> Callable[[random.Random, _Ctx], tuple[tuple, dict]]:
 
 
 def _check_normalization(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
-    return all(
-        abs(max(p.likelihood for p in node.prospects) - 1.0) <= PAIR_TOL
-        for _, node in _compound_nodes(inputs[0])
-    )
+    # What the generator's builder promises in place of the constructors'
+    # checks.  A node's rewards are checked before the walk resumes, because
+    # resuming reads each reward's constant.
+    for _, node in _compound_nodes(inputs[0]):
+        likelihoods = [p.likelihood for p in node.prospects]
+        if not (
+            all(type(lik) is float and 0.0 <= lik <= 1.0 for lik in likelihoods)
+            and abs(max(likelihoods) - 1.0) <= PAIR_TOL
+            and all(isinstance(p.reward, Gamble) for p in node.prospects)
+        ):
+            return False
+    return True
 
 
 def _check_flatten_soundness(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:

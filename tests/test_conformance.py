@@ -1,7 +1,9 @@
 """Generator determinism, the law suite on the real utility, and mutation tests."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,8 +17,10 @@ from likelihood_gambles import (
     Gamble,
     GambleError,
     GenConfig,
+    Prospect,
     canonical_of_value,
     depth,
+    dump_gamble,
     generate_gamble,
     run_conformance,
 )
@@ -124,6 +128,82 @@ class TestGenerator:
                              ("max_depth", "3"), ("samples", None)]:
             with pytest.raises(GambleError, match=f"{field} must be an integer"):
                 GenConfig(**{field: value})
+
+
+class TestGeneratorBuilder:
+    """The generator fills the slots directly, past the constructors' checks,
+    and builds exactly what the constructors would."""
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 1), (4, 2), (5, 3), (6, 2), (4, 4), (2, 16)],
+                             ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    def test_gambles_match_their_constructor_built_twins(self, shape):
+        max_depth, max_branching = shape
+        for seed in range(500):
+            g = generate_gamble(GenConfig(seed=seed, max_depth=max_depth, max_branching=max_branching))
+            twin = gamble_from_json(gamble_to_json(g))
+            assert dump_gamble(g) == dump_gamble(twin)
+            assert g == twin and hash(g) == hash(twin)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.constant = 0.5
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.prospects = ()
+            if not g.is_constant:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    g.prospects[0].likelihood = 0.5
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    g.prospects[0].reward = twin
+
+    def test_generation_calls_no_constructor(self, monkeypatch):
+        calls = []
+        for cls in (Prospect, Gamble):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                calls.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        Gamble.from_prospects([(1.0, 0.5)])
+        assert calls == ["Gamble", "Prospect", "Gamble"]
+        calls.clear()
+        for seed in range(200):
+            generate_gamble(GenConfig(seed=seed, max_depth=5, max_branching=3))
+        assert calls == []
+
+
+def unchecked_gamble(*pairs) -> Gamble:
+    """A compound gamble of (likelihood, reward) pairs built past the constructors' checks."""
+    prospects = []
+    for likelihood, reward in pairs:
+        p = object.__new__(Prospect)
+        object.__setattr__(p, "likelihood", likelihood)
+        object.__setattr__(p, "reward", reward)
+        prospects.append(p)
+    g = object.__new__(Gamble)
+    object.__setattr__(g, "constant", None)
+    object.__setattr__(g, "prospects", tuple(prospects))
+    return g
+
+
+class TestNormalizationLaw:
+    """The law re-checks what the generator's builder promises in place of the
+    constructors' checks."""
+
+    LOW, HIGH = Gamble.from_value(0.0), Gamble.from_value(1.0)
+
+    @pytest.mark.parametrize("pairs", [
+        [(0.5, LOW), (0.2, HIGH)],
+        [(1.0, LOW), (1.5, HIGH)],
+        [(1, LOW)],
+        [(1.0, LOW), (math.nan, HIGH)],
+        [(1.0, LOW), (0.3, unchecked_gamble((0.5, HIGH), (0.0, LOW)))],
+        [(1.0, 0.5)],
+    ], ids=["maximum-0.5", "likelihood-1.5", "int-1", "nan", "nested-maximum-0.5", "float-reward"])
+    def test_a_builder_fault_fails_the_law(self, pairs):
+        assert law("normalization").holds((unchecked_gamble(*pairs),), {}, None) is False
+
+    def test_a_valid_gamble_passes(self):
+        g = unchecked_gamble((1.0, self.LOW), (0.3, unchecked_gamble((1.0, self.HIGH), (0.0, self.LOW))))
+        assert law("normalization").holds((g,), {}, None) is True
+        assert law("normalization").holds((self.HIGH,), {}, None) is True
 
 
 def sha256_of_json(obj) -> str:

@@ -596,7 +596,7 @@ class TestJson:
         assert text == again
 
 
-class TestUncheckedBuilds:
+class TestLoaderAndFlattenBuilds:
     """What the loader and ``flatten`` build through the constructors is
     indistinguishable from what the recursive reference builds, and as
     frozen."""
