@@ -637,9 +637,10 @@ class ConformanceReport:
 # Each law's instances run in W interleaved strides (index = k mod W).  Stride
 # 0 runs in the caller; strides 1..W-1 run in forked children (``_fork``),
 # which inherit the laws, the evaluator and the config.  An instance at depth
-# 4-5 and branching 3-4 took 115-135 us on a 2-vCPU VM, so a worker's share is
-# at least ten times the slowest fork overhead: 10 * 14 ms / 135 us is about
-# 1,000 instances.
+# 4-5 and branching 3-4 took 60-96 us on a 2-vCPU VM, and one forked worker's
+# fork, pipe and join 2-3 ms at the median and up to 7 ms, so 1,000 instances
+# are about ten times the slowest fork overhead: 10 * 7 ms / 60-96 us is
+# 730-1,170 instances.
 _MIN_INSTANCES_PER_WORKER = 1000
 
 # Per law: the failure count and (index, seed, counterexample) of the
