@@ -20,7 +20,7 @@ from .pricing import *
 
 __version__ = "0.1.0"
 
-# With decimal and hashlib, these two are most of the package's import time.
+# These two, with the hashlib that conformance loads, are over half of the package's import time.
 _ON_FIRST_USE = ("binomial", "conformance")
 
 

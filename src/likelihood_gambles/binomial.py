@@ -31,11 +31,15 @@ the Novick-Hall prior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 
-from .gambles import GambleError, _require_real
-from .pricing import UtilityVector, _require_premium, inverse_logit, price_from_vector
+from .gambles import GambleError, _Record, _require_real, _set
+from .pricing import (
+    UtilityVector,
+    _require_premium,
+    format_price,
+    inverse_logit,
+    price_from_vector,
+)
 
 __all__ = [
     "BinomialScenario",
@@ -45,43 +49,42 @@ __all__ = [
     "likelihood_price",
     "bayesian_prices",
     "emit_table",
-    "format_price",
     "render_table_text",
     "render_table_csv",
 ]
 
 CSV_HEADER = "x,likelihood,uniform,jeffreys,novick_hall"
-_PRICE_QUANTUM = Decimal("0.0001")
 
 
-@dataclass(frozen=True)
-class BinomialScenario:
+class BinomialScenario(_Record):
     """``trials`` observed tosses with ``successes`` heads, priced at ``premium``."""
 
-    trials: int
-    successes: int
-    premium: float = 0.0
+    __slots__ = ("trials", "successes", "premium")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
-            raise GambleError(f"trials must be a positive integer, got {self.trials!r}")
-        ok = isinstance(self.successes, int) and not isinstance(self.successes, bool)
-        if not ok or not (0 <= self.successes <= self.trials):
-            raise GambleError(
-                f"successes must be an integer in [0, {self.trials}], got {self.successes!r}"
-            )
-        object.__setattr__(self, "premium", _require_premium(self.premium))
+    def __init__(self, trials: int, successes: int, premium: float = 0.0) -> None:
+        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+            raise GambleError(f"trials must be a positive integer, got {trials!r}")
+        ok = isinstance(successes, int) and not isinstance(successes, bool)
+        if not ok or not (0 <= successes <= trials):
+            raise GambleError(f"successes must be an integer in [0, {trials}], got {successes!r}")
+        _set(self, "trials", trials)
+        _set(self, "successes", successes)
+        _set(self, "premium", _require_premium(premium))
 
 
-@dataclass(frozen=True)
-class PricingRow:
+class PricingRow(_Record):
     """One table row: the likelihood price next to the three Bayesian baselines."""
 
-    successes: int
-    likelihood: float
-    uniform: float
-    jeffreys: float
-    novick_hall: float
+    __slots__ = ("successes", "likelihood", "uniform", "jeffreys", "novick_hall")
+
+    def __init__(
+        self, successes: int, likelihood: float, uniform: float, jeffreys: float, novick_hall: float
+    ) -> None:
+        _set(self, "successes", successes)
+        _set(self, "likelihood", likelihood)
+        _set(self, "uniform", uniform)
+        _set(self, "jeffreys", jeffreys)
+        _set(self, "novick_hall", novick_hall)
 
     def to_json(self) -> dict[str, float]:
         return {
@@ -156,11 +159,6 @@ def emit_table(m: int, c: float = 0.0) -> list[PricingRow]:
     """All rows x = 0..m comparing the likelihood price with the Bayesian ones."""
     BinomialScenario(m, 0, c)  # checks the trial count, then the premium
     return [_pricing_row(BinomialScenario(m, x, c)) for x in range(m + 1)]
-
-
-def format_price(value: float) -> str:
-    """Fixed-point string with 4 decimals, rounded half away from zero."""
-    return str(Decimal(repr(float(value))).quantize(_PRICE_QUANTUM, rounding=ROUND_HALF_UP))
 
 
 def render_table_text(rows: list[PricingRow]) -> str:

@@ -35,6 +35,7 @@ from .pricing import (
     _leaf_vector,
     _require_premium,
     compare,
+    format_price,
     logit,
     price_from_vector,
 )
@@ -130,8 +131,6 @@ def _cmd_price(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(value))
     else:
-        from .binomial import format_price
-
         print(format_price(value))
     return 0
 

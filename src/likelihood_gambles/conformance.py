@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .gambles import (
@@ -33,6 +32,12 @@ from .gambles import (
     ModelSpec,
     Prospect,
     _compound_nodes,
+    _Record,
+    _set,
+    _set_constant,
+    _set_likelihood,
+    _set_prospects,
+    _set_reward,
     build_gamble,
     depth,
     flatten,
@@ -65,36 +70,36 @@ _LATTICE_GAMBLES = [Gamble(constant=x) for x in _LATTICE]
 PairFn = Callable[[Gamble, float], tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(_Record):
     """Shape and determinism knobs for the random-gamble generator."""
 
-    max_depth: int = 4
-    max_branching: int = 4
-    seed: int = 0
-    samples: int = 1000
+    __slots__ = ("max_depth", "max_branching", "seed", "samples")
 
-    def __post_init__(self) -> None:
-        for name in ("max_depth", "max_branching", "seed", "samples"):
-            value = getattr(self, name)
+    def __init__(
+        self, max_depth: int = 4, max_branching: int = 4, seed: int = 0, samples: int = 1000
+    ) -> None:
+        values = (max_depth, max_branching, seed, samples)
+        for name, value in zip(self.__slots__, values):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise GambleError(f"{name} must be an integer, got {value!r}")
-        if not (0 <= self.max_depth <= 6):
-            raise GambleError(f"max_depth must be in [0, 6], got {self.max_depth}")
-        if self.max_branching < 1:
-            raise GambleError(f"max_branching must be >= 1, got {self.max_branching}")
+        if not (0 <= max_depth <= 6):
+            raise GambleError(f"max_depth must be in [0, 6], got {max_depth}")
+        if max_branching < 1:
+            raise GambleError(f"max_branching must be >= 1, got {max_branching}")
         # A gamble has up to max_branching ** max_depth leaves; idempotence
         # draws up to max_branching likelihoods even at depth 0.
-        exponent = max(self.max_depth, 1)
-        if self.max_branching**exponent > 2**16:
+        exponent = max(max_depth, 1)
+        if max_branching**exponent > 2**16:
             raise GambleError(
                 "max_branching ** max(max_depth, 1) must be <= 2**16 = 65536, "
-                f"got {self.max_branching}**{exponent}"
+                f"got {max_branching}**{exponent}"
             )
-        if self.samples < 0:
-            raise GambleError(f"samples must be >= 0, got {self.samples}")
-        if not (0 <= self.seed < 2**64):
-            raise GambleError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if samples < 0:
+            raise GambleError(f"samples must be >= 0, got {samples}")
+        if not (0 <= seed < 2**64):
+            raise GambleError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -124,8 +129,6 @@ def _random_likelihood(rng: random.Random) -> float:
 # likelihood it sets is lik / top, a float in [0, 1] whose level maximum is
 # exactly 1.0, and each reward is a gamble; the normalization law re-checks both.
 _new = object.__new__
-_set_likelihood, _set_reward = Prospect.likelihood.__set__, Prospect.reward.__set__
-_set_constant, _set_prospects = Gamble.constant.__set__, Gamble.prospects.__set__
 
 
 def _random_gamble(rng: random.Random, depth_budget: int, max_branching: int) -> Gamble:
@@ -177,11 +180,13 @@ def _instance_seed(seed: int, name: str, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Ctx:
-    premium: float
-    config: GenConfig
-    pair: PairFn
+class _Ctx(_Record):
+    __slots__ = ("premium", "config", "pair")
+
+    def __init__(self, premium: float, config: GenConfig, pair: PairFn) -> None:
+        _set(self, "premium", premium)
+        _set(self, "config", config)
+        _set(self, "pair", pair)
 
     def gamble(self, rng: random.Random) -> Gamble:
         return _random_gamble(rng, self.config.max_depth, self.config.max_branching)
@@ -197,12 +202,20 @@ class _Ctx:
         return compare(self.vector(g1), self.vector(g2))
 
 
-@dataclass(frozen=True)
-class _Property:
-    name: str
-    draw: Callable[[random.Random, "_Ctx"], tuple[tuple, dict]]
-    holds: Callable[[tuple, dict, "_Ctx"], bool]
-    payload: Callable[[tuple, dict], Any] | None = None
+class _Property(_Record):
+    __slots__ = ("name", "draw", "holds", "payload")
+
+    def __init__(
+        self,
+        name: str,
+        draw: Callable[[random.Random, _Ctx], tuple[tuple, dict]],
+        holds: Callable[[tuple, dict, _Ctx], bool],
+        payload: Callable[[tuple, dict], Any] | None = None,
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "draw", draw)
+        _set(self, "holds", holds)
+        _set(self, "payload", payload)
 
 
 def _close(p: tuple[float, float], q: tuple[float, float]) -> bool:
@@ -543,6 +556,18 @@ def property_names() -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _built(prospects: Iterable[Prospect]) -> list[Gamble]:
+    """``[Gamble(prospects=tuple(prospects))]``, or ``[]`` when a constructor's check fails.
+
+    The generator's builder skips those checks, so a shrink of a faulty
+    drawn level can fail one; that candidate is skipped, not raised.
+    """
+    try:
+        return [Gamble(prospects=tuple(prospects))]
+    except GambleError:
+        return []
+
+
 def _shrink_candidates(g: Gamble) -> Iterable[Gamble]:
     if g.is_constant:
         return
@@ -555,11 +580,11 @@ def _shrink_candidates(g: Gamble) -> Iterable[Gamble]:
             top = max(p.likelihood for p in rest)
             if top == 0.0:
                 continue
-            yield Gamble(prospects=tuple(Prospect(p.likelihood / top, p.reward) for p in rest))
+            yield from _built(Prospect(p.likelihood / top, p.reward) for p in rest)
     for i, p in enumerate(prospects):
         for candidate in _shrink_candidates(p.reward):
-            yield Gamble(
-                prospects=prospects[:i] + (Prospect(p.likelihood, candidate),) + prospects[i + 1 :]
+            yield from _built(
+                Prospect(q.likelihood, candidate) if j == i else q for j, q in enumerate(prospects)
             )
 
 
@@ -591,15 +616,24 @@ def _serialize(inputs: tuple, aux: dict, prop: _Property) -> Any:
     return gambles[0] if len(gambles) == 1 else gambles
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(_Record):
     """Outcome of one law over all sampled instances."""
 
-    name: str
-    samples: int
-    failures: int
-    seed: int | None = None
-    counterexample: Any | None = None
+    __slots__ = ("name", "samples", "failures", "seed", "counterexample")
+
+    def __init__(
+        self,
+        name: str,
+        samples: int,
+        failures: int,
+        seed: int | None = None,
+        counterexample: Any | None = None,
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "samples", samples)
+        _set(self, "failures", failures)
+        _set(self, "seed", seed)
+        _set(self, "counterexample", counterexample)
 
     @property
     def passed(self) -> bool:
@@ -615,9 +649,11 @@ class PropertyResult:
         }
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
-    results: tuple[PropertyResult, ...]
+class ConformanceReport(_Record):
+    __slots__ = ("results",)
+
+    def __init__(self, results: tuple[PropertyResult, ...]) -> None:
+        _set(self, "results", results)
 
     @property
     def all_passed(self) -> bool:

@@ -25,7 +25,6 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from typing import IO, Any
 
 __all__ = [
@@ -82,25 +81,69 @@ def _require_unit(value: Any, name: str) -> float:
     return x
 
 
-@dataclass(frozen=True, slots=True)
-class Prospect:
+class _Record:
+    """Base of the package's immutable records, whose fields are the class's ``__slots__``.
+
+    It acts as a class that ``dataclasses`` makes with ``frozen=True`` does,
+    without loading that module at start-up.  Setting or deleting an
+    attribute raises ``FrozenInstanceError``.  Records of one class are equal
+    when their fields are, the hash is the field tuple's, and the repr is
+    ``Name(field=value, ...)``.  Each record writes its own ``__init__``,
+    which checks its arguments and sets the slots past ``__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        from dataclasses import FrozenInstanceError  # loaded only to raise
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
+
+
+# Sets a record's slot past its __setattr__.
+_set = object.__setattr__
+
+
+class Prospect(_Record):
     """One (likelihood, reward) pair: a model in the context of data and an action."""
 
-    likelihood: float
-    reward: "Gamble"
+    __slots__ = ("likelihood", "reward")
 
-    def __post_init__(self) -> None:
+    def __init__(self, likelihood: float, reward: Gamble) -> None:
         # An in-range float needs no conversion; anything else is checked,
         # coerced or rejected by _require_unit.
-        lik = self.likelihood
-        if not (type(lik) is float and 0.0 <= lik <= 1.0):
-            object.__setattr__(self, "likelihood", _require_unit(lik, "likelihood"))
-        if not isinstance(self.reward, Gamble):
-            raise GambleError(f"reward must be a Gamble, got {type(self.reward).__name__}")
+        if not (type(likelihood) is float and 0.0 <= likelihood <= 1.0):
+            likelihood = _require_unit(likelihood, "likelihood")
+        if not isinstance(reward, Gamble):
+            raise GambleError(f"reward must be a Gamble, got {type(reward).__name__}")
+        _set_likelihood(self, likelihood)
+        _set_reward(self, reward)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Gamble:
+class Gamble(_Record):
     """A constant utility in [0, 1] or a nonempty tuple of prospects.
 
     Exactly one of ``constant`` / ``prospects`` is populated.  Compound
@@ -113,23 +156,24 @@ class Gamble:
     interchangeable in every context.
     """
 
-    constant: float | None = None
-    prospects: tuple[Prospect, ...] = ()
+    __slots__ = ("constant", "prospects")
 
-    def __post_init__(self) -> None:
-        constant, prospects = self.constant, self.prospects
+    def __init__(
+        self, constant: float | None = None, prospects: tuple[Prospect, ...] = ()
+    ) -> None:
         if (constant is None) == (not prospects):
             raise GambleError("a gamble is either a constant or a nonempty set of prospects")
         if constant is not None:
             if not (type(constant) is float and 0.0 <= constant <= 1.0):
-                object.__setattr__(self, "constant", _require_unit(constant, "constant"))
-            return
-        if type(prospects) is not tuple:
-            prospects = tuple(prospects)
-            object.__setattr__(self, "prospects", prospects)
-        top = max([p.likelihood for p in prospects])
-        if abs(top - 1.0) > MAX_LIKELIHOOD_TOL:
-            raise GambleError(f"maximum prospect likelihood must be 1, got {top}")
+                constant = _require_unit(constant, "constant")
+        else:
+            if type(prospects) is not tuple:
+                prospects = tuple(prospects)
+            top = max([p.likelihood for p in prospects])
+            if abs(top - 1.0) > MAX_LIKELIHOOD_TOL:
+                raise GambleError(f"maximum prospect likelihood must be 1, got {top}")
+        _set_constant(self, constant)
+        _set_prospects(self, prospects)
 
     @classmethod
     def from_value(cls, value: float) -> "Gamble":
@@ -168,8 +212,13 @@ class Gamble:
         return _write(self, _REPR_TOKENS)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+# The slot descriptors' setters: the cheapest way to fill the two records
+# that are built most, here and by the conformance generator's builder.
+_set_likelihood, _set_reward = Prospect.likelihood.__set__, Prospect.reward.__set__
+_set_constant, _set_prospects = Gamble.constant.__set__, Gamble.prospects.__set__
+
+
+class ModelSpec(_Record):
     """A probability model over outcome labels plus an action's payoff table.
 
     ``probabilities`` must be nonnegative and sum to 1 within
@@ -177,20 +226,18 @@ class ModelSpec:
     required for every outcome that has positive probability.
     """
 
-    probabilities: Mapping[str, float]
-    payoff: Mapping[str, float]
+    __slots__ = ("probabilities", "payoff")
 
-    def __post_init__(self) -> None:
-        for key in ("probabilities", "payoff"):
-            table = getattr(self, key)
+    def __init__(self, probabilities: Mapping[str, float], payoff: Mapping[str, float]) -> None:
+        for key, table in (("probabilities", probabilities), ("payoff", payoff)):
             if not isinstance(table, Mapping):
-                raise InvalidModelError(f"{key!r} must be a JSON object, got {type(table).__name__}")
+                kind = type(table).__name__
+                raise InvalidModelError(f"{key!r} must be a JSON object, got {kind}")
         try:
             probs = {
-                str(k): _require_real(v, f"probability of {k!r}")
-                for k, v in self.probabilities.items()
+                str(k): _require_real(v, f"probability of {k!r}") for k, v in probabilities.items()
             }
-            pays = {str(k): _require_unit(v, f"payoff[{k!r}]") for k, v in self.payoff.items()}
+            pays = {str(k): _require_unit(v, f"payoff[{k!r}]") for k, v in payoff.items()}
         except GambleError as exc:
             raise InvalidModelError(str(exc)) from None
         if not probs:
@@ -201,8 +248,8 @@ class ModelSpec:
         total = math.fsum(probs.values())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise InvalidModelError(f"outcome probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "payoff", pays)
+        _set(self, "probabilities", probs)
+        _set(self, "payoff", pays)
 
 
 def expected_utility(model: ModelSpec) -> float:

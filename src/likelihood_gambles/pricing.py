@@ -33,7 +33,6 @@ e^-45 price 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 from .gambles import (
@@ -41,6 +40,7 @@ from .gambles import (
     GambleError,
     InfiniteLogitError,
     _leaf_likelihoods,
+    _Record,
     _require_real,
     _require_unit,
 )
@@ -57,6 +57,7 @@ __all__ = [
     "prefer",
     "implied_prior",
     "canonical_equivalent",
+    "format_price",
 ]
 
 # Vector equality and membership in B are decided at this tolerance.
@@ -69,15 +70,13 @@ MAX_PREMIUM = 700.0
 Ordering = Literal["greater", "equal", "less"]
 
 
-@dataclass(frozen=True)
-class UtilityVector:
+class UtilityVector(_Record):
     """A point <alpha, beta> on B, the top/right border of the unit square."""
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        a, b = self.alpha, self.beta
+    def __init__(self, alpha: float, beta: float) -> None:
+        a, b = alpha, beta
         # Every utility pair builds a vector, so exact floats skip the type check.
         if type(a) is not float:
             a = _require_real(a, "utility vector alpha")
@@ -87,8 +86,11 @@ class UtilityVector:
             raise GambleError(f"utility vector components must lie in [0, 1], got <{a}, {b}>")
         if abs(max(a, b) - 1.0) > VECTOR_TOL:
             raise GambleError(f"utility vector must satisfy max(alpha, beta) = 1, got <{a}, {b}>")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+        _set_alpha(self, a)
+        _set_beta(self, b)
+
+
+_set_alpha, _set_beta = UtilityVector.alpha.__set__, UtilityVector.beta.__set__
 
 
 def _require_premium(c: float) -> float:
@@ -249,3 +251,18 @@ def canonical_equivalent(g: Gamble, c: float = 0.0) -> Gamble:
 def _canonical_gamble(u: UtilityVector) -> Gamble:
     """The gamble {alpha/1, beta/0} of a utility vector."""
     return Gamble.from_prospects([(u.alpha, 1.0), (u.beta, 0.0)])
+
+
+# Only text output rounds, so decimal loads on the first call, once per
+# process, instead of at start-up; each later call pays one test of the quantum.
+_PRICE_QUANTUM = None
+
+
+def format_price(value: float) -> str:
+    """Fixed-point string with 4 decimals, rounded half away from zero."""
+    global _PRICE_QUANTUM, Decimal, ROUND_HALF_UP
+    if _PRICE_QUANTUM is None:
+        from decimal import ROUND_HALF_UP, Decimal
+
+        _PRICE_QUANTUM = Decimal("0.0001")
+    return str(Decimal(repr(float(value))).quantize(_PRICE_QUANTUM, rounding=ROUND_HALF_UP))

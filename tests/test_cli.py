@@ -716,21 +716,23 @@ class TestImportBoundary:
         [
             (None, []),
             (["price", "-f", "json", "{file}"], []),
+            (["price", "{file}"], ["decimal"]),
             (["demo-binomial", "-m", "10"], ["decimal", "likelihood_gambles.binomial"]),
             (["compare", "{file}", "{file}"], []),
             (["conformance", "--samples", "10"], ["hashlib", "likelihood_gambles.conformance"]),
         ],
-        ids=["import", "price-json", "demo-binomial", "compare", "conformance-small"],
+        ids=["import", "price-json", "price-text", "demo-binomial", "compare", "conformance-small"],
     )
     def test_command_loads_only_what_it_runs(self, gamble_file, argv, loaded):
+        # No command loads dataclasses, or inspect, which it imports.
         body = "from likelihood_gambles.cli import main\n"
         if argv is not None:
             argv = [arg.format(file=gamble_file(TWO_COINS)) for arg in argv]
             body += f"out['code'] = main({argv!r})\n"
         body += (
             "out['loaded'] = sorted(m for m in ('likelihood_gambles.binomial', "
-            "'likelihood_gambles.conformance', 'likelihood_gambles._fork', 'hashlib', 'decimal') "
-            "if m in sys.modules)"
+            "'likelihood_gambles.conformance', 'likelihood_gambles._fork', 'hashlib', 'decimal', "
+            "'dataclasses', 'inspect') if m in sys.modules)"
         )
         out = fresh_interpreter(body)
         assert out.get("code", 0) == 0

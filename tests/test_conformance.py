@@ -206,6 +206,42 @@ class TestNormalizationLaw:
         assert law("normalization").holds((self.HIGH,), {}, None) is True
 
 
+class TestShrinkingFaultyDraws:
+    """A shrink candidate that fails a constructor's check is skipped, so a
+    builder fault is reported, not raised."""
+
+    @pytest.fixture
+    def all_zero_levels(self, monkeypatch):
+        """Make the generator leave every level of depth 2 or more all-zero."""
+        real = conformance._random_gamble
+
+        def zeroed(rng, depth_budget, max_branching):
+            g = real(rng, depth_budget, max_branching)  # its rewards come from zeroed too
+            if depth(g) < 2:
+                return g
+            return unchecked_gamble(*[(0.0, p.reward) for p in g.prospects])
+
+        monkeypatch.setattr(conformance, "_random_gamble", zeroed)
+
+    def test_the_run_reports_failures(self, all_zero_levels):
+        config = GenConfig(seed=7, samples=300, max_depth=4, max_branching=3)
+        (result,) = run_conformance(config, properties=["normalization"]).results
+        assert 0 < result.failures < 300
+        # Shrunk to an all-zero level whose rewards are valid: none of its
+        # candidates fails the law, and the ones that break a check are skipped.
+        entries = result.counterexample["prospects"]
+        assert {entry["likelihood"] for entry in entries} == {0.0}
+        for entry in entries:
+            gamble_from_json(entry["reward"])
+
+    def test_candidates_that_fail_a_check_are_left_out(self):
+        inner = Gamble.from_prospects([(1.0, 0.2), (0.5, 0.7)])
+        level = unchecked_gamble((0.0, inner), (0.0, Gamble.from_value(0.4)))
+        # Only the two rewards: dropping a prospect leaves a maximum of 0, and
+        # so does swapping a reward for one of its own candidates.
+        assert list(_shrink_candidates(level)) == [inner, Gamble.from_value(0.4)]
+
+
 def sha256_of_json(obj) -> str:
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
