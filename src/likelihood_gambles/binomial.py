@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 
-from .gambles import GambleError, _Record, _require_real, _set
+from .gambles import GambleError, _Record, _require_unit, _set
 from .pricing import (
     UtilityVector,
     _require_premium,
@@ -53,7 +53,9 @@ __all__ = [
     "render_table_csv",
 ]
 
-CSV_HEADER = "x,likelihood,uniform,jeffreys,novick_hall"
+# The table's column names, in the order of PricingRow's fields.
+_COLUMNS = ("x", "likelihood", "uniform", "jeffreys", "novick_hall")
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 class BinomialScenario(_Record):
@@ -87,13 +89,7 @@ class PricingRow(_Record):
         _set(self, "novick_hall", novick_hall)
 
     def to_json(self) -> dict[str, float]:
-        return {
-            "x": self.successes,
-            "likelihood": self.likelihood,
-            "uniform": self.uniform,
-            "jeffreys": self.jeffreys,
-            "novick_hall": self.novick_hall,
-        }
+        return dict(zip(_COLUMNS, self._fields()))
 
 
 def _log_likelihood(p: float, m: int, x: int, start: float = 0.0) -> float:
@@ -111,9 +107,7 @@ def normalized_binomial_likelihood(p: float, scenario: BinomialScenario) -> floa
     Endpoints follow the 0^0 = 1 convention; the value is 1 exactly at
     p = x/m and lies in [0, 1] everywhere.
     """
-    p = _require_real(p, "bias")
-    if not (0.0 <= p <= 1.0):
-        raise GambleError(f"bias must lie in [0, 1], got {p}")
+    p = _require_unit(p, "bias")
     m, x = scenario.trials, scenario.successes
     if p == 0.0:
         return 1.0 if x == 0 else 0.0

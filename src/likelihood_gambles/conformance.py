@@ -27,6 +27,7 @@ import random
 from typing import Any, Callable, Iterable, Sequence
 
 from .gambles import (
+    MAX_LIKELIHOOD_TOL,
     Gamble,
     GambleError,
     ModelSpec,
@@ -44,6 +45,7 @@ from .gambles import (
     gamble_to_json,
 )
 from .pricing import (
+    VECTOR_TOL,
     Ordering,
     UtilityVector,
     _canonical_gamble,
@@ -59,7 +61,6 @@ __all__ = [
     "run_conformance",
 ]
 
-PAIR_TOL = 1e-12
 ROUNDTRIP_TOL = 1e-9
 
 # Constants are drawn from this lattice so duplicate-merge paths get exercised.
@@ -202,6 +203,11 @@ class _Ctx(_Record):
         return compare(self.vector(g1), self.vector(g2))
 
 
+def _payload_gambles(inputs: tuple, aux: dict) -> Any:
+    gambles = [gamble_to_json(g) for g in inputs]
+    return gambles[0] if len(gambles) == 1 else gambles
+
+
 class _Property(_Record):
     __slots__ = ("name", "draw", "holds", "payload")
 
@@ -210,7 +216,7 @@ class _Property(_Record):
         name: str,
         draw: Callable[[random.Random, _Ctx], tuple[tuple, dict]],
         holds: Callable[[tuple, dict, _Ctx], bool],
-        payload: Callable[[tuple, dict], Any] | None = None,
+        payload: Callable[[tuple, dict], Any] = _payload_gambles,
     ) -> None:
         _set(self, "name", name)
         _set(self, "draw", draw)
@@ -219,7 +225,7 @@ class _Property(_Record):
 
 
 def _close(p: tuple[float, float], q: tuple[float, float]) -> bool:
-    return abs(p[0] - q[0]) <= PAIR_TOL and abs(p[1] - q[1]) <= PAIR_TOL
+    return abs(p[0] - q[0]) <= VECTOR_TOL and abs(p[1] - q[1]) <= VECTOR_TOL
 
 
 def _draw(count: int) -> Callable[[random.Random, _Ctx], tuple[tuple, dict]]:
@@ -238,7 +244,7 @@ def _check_normalization(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
         likelihoods = [p.likelihood for p in node.prospects]
         if not (
             all(type(lik) is float and 0.0 <= lik <= 1.0 for lik in likelihoods)
-            and abs(max(likelihoods) - 1.0) <= PAIR_TOL
+            and abs(max(likelihoods) - 1.0) <= MAX_LIKELIHOOD_TOL
             and all(isinstance(p.reward, Gamble) for p in node.prospects)
         ):
             return False
@@ -416,7 +422,7 @@ def _check_roundtrip(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
 def _check_canonical_price(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
     (g,) = inputs
     u = ctx.vector(g)
-    return abs(ctx.price(_canonical_gamble(u)) - price_from_vector(u, ctx.premium)) <= PAIR_TOL
+    return abs(ctx.price(_canonical_gamble(u)) - price_from_vector(u, ctx.premium)) <= VECTOR_TOL
 
 
 def _draw_monotonicity(rng: random.Random, ctx: _Ctx) -> tuple[tuple, dict]:
@@ -490,7 +496,7 @@ def _check_evidence_scaling(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
     # value and the induced preference must still agree at tolerance.
     scaled = build_gamble(models, [aux["factor"] * e for e in evidence])
     us, ub = ctx.vector(scaled), ctx.vector(base)
-    if abs(price_from_vector(us, ctx.premium) - price_from_vector(ub, ctx.premium)) > PAIR_TOL:
+    if abs(price_from_vector(us, ctx.premium) - price_from_vector(ub, ctx.premium)) > VECTOR_TOL:
         return False
     return compare(us, ub) == "equal"
 
@@ -609,13 +615,6 @@ def _shrink(inputs: tuple, aux: dict, prop: _Property, ctx: _Ctx) -> tuple:
             return inputs
 
 
-def _serialize(inputs: tuple, aux: dict, prop: _Property) -> Any:
-    if prop.payload is not None:
-        return prop.payload(inputs, aux)
-    gambles = [gamble_to_json(g) for g in inputs]
-    return gambles[0] if len(gambles) == 1 else gambles
-
-
 class PropertyResult(_Record):
     """Outcome of one law over all sampled instances."""
 
@@ -705,7 +704,7 @@ def _run_stride(selected: Sequence[_Property], ctx: _Ctx, start: int, step: int)
                 if first is None:
                     shrunk = _shrink(inputs, aux, prop, ctx)
                     try:
-                        counterexample = _serialize(shrunk, aux, prop)
+                        counterexample = prop.payload(shrunk, aux)
                     except GambleError:
                         counterexample = None
                     first = (index, seed, counterexample)

@@ -161,15 +161,19 @@ class Gamble(_Record):
     def __init__(
         self, constant: float | None = None, prospects: tuple[Prospect, ...] = ()
     ) -> None:
+        if prospects and type(prospects) is not tuple:
+            prospects = tuple(prospects)
         if (constant is None) == (not prospects):
             raise GambleError("a gamble is either a constant or a nonempty set of prospects")
         if constant is not None:
             if not (type(constant) is float and 0.0 <= constant <= 1.0):
                 constant = _require_unit(constant, "constant")
         else:
-            if type(prospects) is not tuple:
-                prospects = tuple(prospects)
-            top = max([p.likelihood for p in prospects])
+            try:
+                top = max([p.likelihood for p in prospects])
+            except AttributeError:
+                kind = next(type(p).__name__ for p in prospects if not isinstance(p, Prospect))
+                raise GambleError(f"prospects must be Prospect objects, got {kind}") from None
             if abs(top - 1.0) > MAX_LIKELIHOOD_TOL:
                 raise GambleError(f"maximum prospect likelihood must be 1, got {top}")
         _set_constant(self, constant)
@@ -351,12 +355,11 @@ def _document_leaves(doc: Any) -> dict[float, float] | None:
 
     It walks the levels in the leaf walk's last-in-first-out order, so the
     keys come out in the same order, and it uses the loader's arithmetic:
-    each level divided by its maximum, a step it skips when that is 1.0,
-    then scaled by its path.  It accepts only exact dicts, lists and
-    in-range floats, and returns None on anything else, on a level whose
-    maximum is 0 and on a constant root: the caller then runs the loader,
-    which raises the first error in document order, or builds what this
-    walk does not read.
+    each level divided by its maximum, then scaled by its path.  It accepts
+    only exact dicts, lists and in-range floats, and returns None on
+    anything else, on a level whose maximum is 0 and on a constant root: the
+    caller then runs the loader, which raises the first error in document
+    order, or builds what this walk does not read.
     """
     if type(doc) is not dict or "constant" in doc:
         return None
@@ -379,9 +382,7 @@ def _document_leaves(doc: Any) -> dict[float, float] | None:
         if top == 0.0:
             return None
         for lik, entry in zip(raw, entries):
-            if top != 1.0:
-                lik = lik / top
-            lik = scale * lik
+            lik = scale * (lik / top)
             reward = entry.get("reward")
             if type(reward) is not dict:
                 return None

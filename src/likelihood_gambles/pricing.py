@@ -36,6 +36,7 @@ import math
 from typing import Literal
 
 from .gambles import (
+    MAX_LIKELIHOOD_TOL,
     Gamble,
     GambleError,
     InfiniteLogitError,
@@ -60,8 +61,9 @@ __all__ = [
     "format_price",
 ]
 
-# Vector equality and membership in B are decided at this tolerance.
-VECTOR_TOL = 1e-12
+# Vector equality and membership in B are decided at this tolerance, the gambles'
+# own: _canonical_gamble must accept every vector that UtilityVector accepts.
+VECTOR_TOL = MAX_LIKELIHOOD_TOL
 
 # The largest accepted |c|.  Past about 745 the canonical pair of a constant
 # near 1/2 underflows to 0, and pricing a constant no longer returns it.
@@ -104,9 +106,7 @@ def _require_premium(c: float) -> float:
 
 def logit(z: float) -> float:
     """ln(z / (1 - z)) for z strictly inside (0, 1)."""
-    z = _require_real(z, "logit argument")
-    if not (0.0 <= z <= 1.0):
-        raise GambleError(f"logit argument must lie in [0, 1], got {z}")
+    z = _require_unit(z, "logit argument")
     if z == 0.0 or z == 1.0:
         raise InfiniteLogitError(f"logit diverges at {z}")
     return math.log(z / (1.0 - z))
@@ -227,7 +227,7 @@ def implied_prior(observed_fair_price: float) -> tuple[float, str]:
     ambiguity premium.  Returns ``(rho, classification)`` with classification
     one of ``"seeking"``, ``"neutral"``, ``"averse"``.
     """
-    p = _require_real(observed_fair_price, "observed fair price")
+    p = _require_unit(observed_fair_price, "observed fair price")
     if p == 0.0 or p == 1.0:
         raise InfiniteLogitError(f"price {p} implies an infinite ambiguity premium")
     c = logit(p)

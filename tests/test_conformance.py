@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from likelihood_gambles import (
+    DegenerateEvidenceError,
     Gamble,
     GambleError,
     GenConfig,
@@ -30,7 +31,6 @@ from likelihood_gambles.conformance import (
     _PROPERTIES,
     _instance_seed,
     _random_gamble,
-    _serialize,
     _shrink_candidates,
     property_names,
 )
@@ -421,7 +421,22 @@ class TestMutationDetection:
         ctx = _Ctx(premium=0.0, config=GenConfig(), pair=_utility_pair)
         inputs, aux = prop.draw(random.Random(11), ctx)
         expected = gamble_to_json(build_gamble(aux["models"], aux["evidence"]))
-        assert _serialize(inputs, aux, prop) == expected
+        assert prop.payload(inputs, aux) == expected
+
+    def test_a_payload_that_raises_leaves_no_counterexample(self, monkeypatch):
+        # Both laws and their payloads build through build_gamble, so every
+        # instance fails and the first one's payload raises too.
+        def degenerate(models, evidence):
+            raise DegenerateEvidenceError("evidence has probability 0 under every model")
+
+        monkeypatch.setattr(conformance, "build_gamble", degenerate)
+        config = GenConfig(seed=7, samples=5)
+        names = ["evidence_scaling", "model_permutation"]
+        report = run_conformance(config, properties=names)
+        for name, result in zip(names, report.results, strict=True):
+            assert result.failures == config.samples
+            assert result.seed == _instance_seed(config.seed, name, 0)
+            assert result.counterexample is None
 
 
 def no_child_left() -> bool:
@@ -475,11 +490,15 @@ class TestWorkers:
         assert no_child_left()
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_a_raising_stride_raises_the_one_process_exception(self, forced_workers, workers):
+    @pytest.mark.parametrize("index", [0, 1], ids=["parent", "child"])
+    def test_a_raising_stride_raises_the_one_process_exception(
+        self, forced_workers, workers, index
+    ):
         config = GenConfig(seed=5, samples=6, max_depth=3)
         name = "flatten_preserves_utility"
-        # Instance 1 falls in a child's stride for two and three workers.
-        rng = random.Random(_instance_seed(config.seed, name, 1))
+        # Instance 0 falls in the parent's stride and instance 1 in a child's,
+        # for two and three workers.
+        rng = random.Random(_instance_seed(config.seed, name, index))
         target = _random_gamble(rng, config.max_depth, config.max_branching)
 
         def raising_pair(g, c):

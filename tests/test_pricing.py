@@ -431,6 +431,12 @@ class TestImpliedPrior:
             with pytest.raises(InfiniteLogitError):
                 implied_prior(p)
 
+    @pytest.mark.parametrize("p", [1.5, -0.25, math.nan])
+    def test_out_of_range_names_the_price(self, p):
+        with pytest.raises(GambleError) as info:
+            implied_prior(p)
+        assert str(info.value) == f"observed fair price must lie in [0, 1], got {p}"
+
 
 class TestCanonicalEquivalent:
     def test_neutral_half(self):

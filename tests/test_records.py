@@ -230,6 +230,10 @@ CHECKS = [
     (GenConfig, (4, 4, 0, -1), "samples must be >= 0, got -1"),
     (GenConfig, (4, 4, -1), "seed must be an unsigned 64-bit integer, got -1"),
     (GenConfig, (4, 4, 2**64), "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
+    (Gamble, (None, None), EITHER),
+    # Not read off the dataclasses, which raised ValueError and AttributeError here.
+    (Gamble, (None, iter([])), EITHER),
+    (Gamble, (None, [(1.0, HALF)]), "prospects must be Prospect objects, got tuple"),
 ]
 
 
