@@ -31,6 +31,7 @@ the Novick-Hall prior.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 from .gambles import GambleError, _Record, _require_unit, _set
 from .pricing import (
@@ -116,20 +117,54 @@ def normalized_binomial_likelihood(p: float, scenario: BinomialScenario) -> floa
     return min(1.0, math.exp(_log_likelihood(p, m, x, -_log_likelihood(x / m, m, x))))
 
 
+def _pairs(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float]]:
+    """``(x, alpha, beta)`` of the bet after x heads in m tosses, for each x in ``xs``.
+
+    The kink's logs are taken once for all rows, and each row evaluates its
+    candidates in line: a call per candidate would cost more than its logs.
+    """
+    log, log1p, exp = math.log, math.log1p, math.exp
+    k = inverse_logit(c)
+    kink = 0.0 < k < 1.0
+    if kink:
+        lk, l1k = log(k), log1p(-k)
+        tk = lk - l1k - c
+    for x in xs:
+        n = m - x
+        # log(p^x (1-p)^n) at p = x/m, with 0^0 = 1: the normalizing constant.
+        lognorm = (x * log(x / m) if x else 0.0) + (n * log1p(-x / m) if n else 0.0)
+        # Endpoints: only alpha is positive at p = 1, only beta at p = 0.
+        alpha = 0.0 if n else 1.0
+        beta = 0.0 if x else 1.0
+        # Each candidate p scores exp(ll + min(0, t)) for alpha and
+        # exp(ll + min(0, -t)) for beta, clipped to 1, where ll is log l(p)
+        # and t = logit(p) - c; exp(ll) is the weight-1 side.
+        if kink:
+            ll = -lognorm + x * lk + n * l1k
+            e = exp(ll)
+            a, b = (exp(ll + tk), e) if tk < 0.0 else (e, exp(ll - tk))
+            if a > alpha:
+                alpha = a if a < 1.0 else 1.0
+            if b > beta:
+                beta = b if b < 1.0 else 1.0
+        for p in (x / m, (x - 1) / m, (x + 1) / m):
+            if 0.0 < p < 1.0:
+                lp, l1p = log(p), log1p(-p)
+                ll = -lognorm + x * lp + n * l1p
+                t = lp - l1p - c
+                e = exp(ll)
+                a, b = (exp(ll + t), e) if t < 0.0 else (e, exp(ll - t))
+                if a > alpha:
+                    alpha = a if a < 1.0 else 1.0
+                if b > beta:
+                    beta = b if b < 1.0 else 1.0
+        yield x, alpha, beta
+
+
 def continuous_utility_vector(scenario: BinomialScenario) -> UtilityVector:
     """Utility vector of the bet over the full bias continuum."""
-    m, x, c = scenario.trials, scenario.successes, scenario.premium
-    lognorm = _log_likelihood(x / m, m, x)
-    # Endpoints: only alpha is positive at p = 1, only beta at p = 0.
-    alpha = 1.0 if x == m else 0.0
-    beta = 1.0 if x == 0 else 0.0
-    for p in (inverse_logit(c), x / m, (x - 1) / m, (x + 1) / m):
-        if not 0.0 < p < 1.0:
-            continue
-        ll = _log_likelihood(p, m, x, -lognorm)
-        t = math.log(p) - math.log1p(-p) - c
-        alpha = max(alpha, min(1.0, math.exp(ll + min(0.0, t))))
-        beta = max(beta, min(1.0, math.exp(ll + min(0.0, -t))))
+    x = scenario.successes
+    _, alpha, beta = next(_pairs(scenario.trials, scenario.premium, range(x, x + 1)))
     return UtilityVector(alpha, beta)
 
 
@@ -151,8 +186,18 @@ def _pricing_row(scenario: BinomialScenario) -> PricingRow:
 
 def emit_table(m: int, c: float = 0.0) -> list[PricingRow]:
     """All rows x = 0..m comparing the likelihood price with the Bayesian ones."""
-    BinomialScenario(m, 0, c)  # checks the trial count, then the premium
-    return [_pricing_row(BinomialScenario(m, x, c)) for x in range(m + 1)]
+    c = BinomialScenario(m, 0, c).premium  # checks the trial count, then the premium
+    # bayesian_prices in line, so that a row builds no scenario.
+    return [
+        PricingRow(
+            x,
+            price_from_vector(UtilityVector(alpha, beta), c),
+            (x + 1) / (m + 2),
+            (x + 0.5) / (m + 1),
+            x / m,
+        )
+        for x, alpha, beta in _pairs(m, c, range(m + 1))
+    ]
 
 
 def render_table_text(rows: list[PricingRow]) -> str:
