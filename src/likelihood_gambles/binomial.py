@@ -110,10 +110,10 @@ def normalized_binomial_likelihood(p: float, scenario: BinomialScenario) -> floa
     """
     p = _require_unit(p, "bias")
     m, x = scenario.trials, scenario.successes
-    if p == 0.0:
-        return 1.0 if x == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if x == m else 0.0
+    if p == x / m:  # exactly, not as the rounded difference of two logs
+        return 1.0
+    if p == 0.0 or p == 1.0:
+        return 0.0
     return min(1.0, math.exp(_log_likelihood(p, m, x, -_log_likelihood(x / m, m, x))))
 
 
@@ -131,23 +131,40 @@ def _pairs(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float]]:
         tk = lk - l1k - c
     for x in xs:
         n = m - x
-        # log(p^x (1-p)^n) at p = x/m, with 0^0 = 1: the normalizing constant.
-        lognorm = (x * log(x / m) if x else 0.0) + (n * log1p(-x / m) if n else 0.0)
+        q = x / m
+        lq = log(q) if x else 0.0
+        l1q = log1p(-q) if n else 0.0
+        # log(q^x (1-q)^n), with 0^0 = 1: the normalizing constant.
+        lognorm = x * lq + n * l1q
         # Endpoints: only alpha is positive at p = 1, only beta at p = 0.
         alpha = 0.0 if n else 1.0
         beta = 0.0 if x else 1.0
         # Each candidate p scores exp(ll + min(0, t)) for alpha and
         # exp(ll + min(0, -t)) for beta, clipped to 1, where ll is log l(p)
-        # and t = logit(p) - c; exp(ll) is the weight-1 side.
+        # and t = logit(p) - c; exp(ll) is the weight-1 side.  At p = x/m,
+        # ll is exactly 0: -lognorm plus the same two terms can miss it by
+        # an ulp of lognorm, and so miss B.
         if kink:
-            ll = -lognorm + x * lk + n * l1k
+            ll = 0.0 if k == q else -lognorm + x * lk + n * l1k
             e = exp(ll)
             a, b = (exp(ll + tk), e) if tk < 0.0 else (e, exp(ll - tk))
             if a > alpha:
                 alpha = a if a < 1.0 else 1.0
             if b > beta:
                 beta = b if b < 1.0 else 1.0
-        for p in (x / m, (x - 1) / m, (x + 1) / m):
+        if x and n:
+            t = lq - l1q - c
+            if t < 0.0:
+                beta = 1.0
+                a = exp(t)
+                if a > alpha:
+                    alpha = a
+            else:
+                alpha = 1.0
+                b = exp(-t)
+                if b > beta:
+                    beta = b
+        for p in ((x - 1) / m, (x + 1) / m):
             if 0.0 < p < 1.0:
                 lp, l1p = log(p), log1p(-p)
                 ll = -lognorm + x * lp + n * l1p

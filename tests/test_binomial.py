@@ -14,6 +14,7 @@ import pytest
 from likelihood_gambles import (
     BinomialScenario,
     GambleError,
+    UtilityVector,
     bayesian_prices,
     continuous_utility_vector,
     emit_table,
@@ -21,6 +22,7 @@ from likelihood_gambles import (
     inverse_logit,
     likelihood_price,
     normalized_binomial_likelihood,
+    price_from_vector,
     render_table_csv,
     render_table_text,
 )
@@ -74,7 +76,8 @@ def oracle_price(m: int, x: int, c: float, points: int = 1_000_001) -> float:
 
 def per_component_max(m: int, x: int, c: float, sign: float) -> float:
     """One component (alpha for sign +1, beta for -1) at its own candidates only:
-    the endpoints, the kink, x/m and (x + sign)/m, each solved separately."""
+    the endpoints, the kink, x/m and (x + sign)/m, each solved separately.
+    The log-likelihood is exactly 0 at x/m, where the likelihood peaks."""
     lognorm = 0.0
     if x:
         lognorm += x * math.log(x / m)
@@ -86,11 +89,14 @@ def per_component_max(m: int, x: int, c: float, sign: float) -> float:
             return (1.0 if x == 0 else 0.0) if sign < 0 else 0.0
         if p >= 1.0:
             return (1.0 if x == m else 0.0) if sign > 0 else 0.0
-        ll = -lognorm
-        if x:
-            ll += x * math.log(p)
-        if m - x:
-            ll += (m - x) * math.log1p(-p)
+        if p == x / m:
+            ll = 0.0
+        else:
+            ll = -lognorm
+            if x:
+                ll += x * math.log(p)
+            if m - x:
+                ll += (m - x) * math.log1p(-p)
         t = sign * (math.log(p) - math.log1p(-p) - c)
         return min(1.0, math.exp(ll + min(0.0, t)))
 
@@ -119,6 +125,11 @@ class TestNormalizedLikelihood:
         for m, x in ((10, 5), (10, 0), (7, 7), (3, 1)):
             scenario = BinomialScenario(m, x)
             assert normalized_binomial_likelihood(x / m, scenario) == 1.0
+
+    def test_exactly_one_at_every_maximum_likelihood_bias(self):
+        for m in (100, 1000, 10_000):
+            for x in range(m + 1):
+                assert normalized_binomial_likelihood(x / m, BinomialScenario(m, x)) == 1.0, (m, x)
 
     def test_endpoint_zero_for_interior_counts(self):
         scenario = BinomialScenario(10, 5)
@@ -197,6 +208,41 @@ class TestInternalMaxima:
                     u = continuous_utility_vector(BinomialScenario(m, x, c))
                     assert u.alpha == per_component_max(m, x, c, 1.0), (m, x, c)
                     assert u.beta == per_component_max(m, x, c, -1.0), (m, x, c)
+
+    def test_kink_on_the_mode_equals_per_component_maxima(self):
+        # Premiums a few ulps around logit(x/m) whose kink is exactly x/m:
+        # log l is 0 there at the kink as well.
+        m, checked = 1000, 0
+        for x in range(1, m):
+            base = math.log(x / m) - math.log1p(-x / m)
+            for j in range(-8, 9):
+                c = base + j * math.ulp(base)
+                if inverse_logit(c) != x / m:
+                    continue
+                checked += 1
+                u = continuous_utility_vector(BinomialScenario(m, x, c))
+                assert u.alpha == per_component_max(m, x, c, 1.0), (m, x, c)
+                assert u.beta == per_component_max(m, x, c, -1.0), (m, x, c)
+        assert checked > m
+
+    @pytest.mark.parametrize("c", [0.0, 0.7])
+    def test_table_rows_equal_per_component_maxima(self, c):
+        m = 10_000
+        rows = emit_table(m, c)
+        assert [r.successes for r in rows] == list(range(m + 1))
+        for x, row in enumerate(rows):
+            u = UtilityVector(per_component_max(m, x, c, 1.0), per_component_max(m, x, c, -1.0))
+            assert row.likelihood == price_from_vector(u, c), (m, x, c)
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
+    def test_large_tables_lie_exactly_on_b(self, c):
+        # lognorm rounds by up to an ulp; taking log l(x/m) as -lognorm plus
+        # the same two terms put 528 rows of m = 23,000 off B at c = 0.
+        m = 30_000
+        assert len(emit_table(m, c)) == m + 1
+        for x in range(m + 1):
+            u = continuous_utility_vector(BinomialScenario(m, x, c))
+            assert max(u.alpha, u.beta) == 1.0, (m, x, c)
 
 
 class TestLikelihoodPrice:

@@ -186,6 +186,11 @@ class TestDemoBinomial:
             "novick_hall": 0.5,
         }]
 
+    def test_table_past_twenty_thousand_trials(self, capsys):
+        # At m >= 23,000 a row used to fall off B by more than 1e-12 and exit 2.
+        assert main(["demo-binomial", "-m", "30000", "-f", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 30_002
+
     def test_invalid_count_is_an_input_error(self, capsys):
         assert main(["demo-binomial", "-m", "10", "-x", "11"]) == 2
         assert "error" in capsys.readouterr().err
