@@ -162,7 +162,12 @@ class Gamble(_Record):
         self, constant: float | None = None, prospects: tuple[Prospect, ...] = ()
     ) -> None:
         if prospects and type(prospects) is not tuple:
-            prospects = tuple(prospects)
+            try:
+                items = iter(prospects)
+            except TypeError:
+                kind = type(prospects).__name__
+                raise GambleError(f"prospects must be an iterable, got {kind}") from None
+            prospects = tuple(items)
         if (constant is None) == (not prospects):
             raise GambleError("a gamble is either a constant or a nonempty set of prospects")
         if constant is not None:

@@ -234,6 +234,7 @@ CHECKS = [
     # Not read off the dataclasses, which raised ValueError and AttributeError here.
     (Gamble, (None, iter([])), EITHER),
     (Gamble, (None, [(1.0, HALF)]), "prospects must be Prospect objects, got tuple"),
+    (Gamble, (None, 5), "prospects must be an iterable, got int"),
 ]
 
 
