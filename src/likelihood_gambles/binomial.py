@@ -22,6 +22,13 @@ p = 0, 1, p*, x/m and (x+s)/m.  One pass evaluates both components at p*
 and x/m, (x-1)/m, (x+1)/m; that is still exact, because a component
 evaluated at the other's candidates cannot exceed its own maximum.
 
+A table is solved in one pass over its rows: the kink p* and its logs do
+not depend on x, so they are taken once per table, and each row evaluates
+its candidates in line.  A single row (``continuous_utility_vector``) is
+the same pass over one x.  At p = x/m, log l is taken as exactly 0, not as
+the rounded difference of two equal sums, so every row lies exactly on B
+(max(alpha, beta) = 1) at any ``m``.
+
 For comparison, three default-prior Bayesian prices of the same bet have
 closed forms: the posterior-mean success probabilities (x+1)/(m+2) for a
 uniform prior, (x+0.5)/(m+1) for the Jeffreys/reference prior, and x/m for
@@ -152,7 +159,7 @@ def _pairs(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float]]:
                 alpha = a if a < 1.0 else 1.0
             if b > beta:
                 beta = b if b < 1.0 else 1.0
-        if x and n:
+        if x and n:  # p = x/m: ll = 0, so the weight-1 side scores exactly 1
             t = lq - l1q - c
             if t < 0.0:
                 beta = 1.0
