@@ -132,10 +132,7 @@ def _pairs(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float]]:
     """
     log, log1p, exp = math.log, math.log1p, math.exp
     k = inverse_logit(c)
-    kink = 0.0 < k < 1.0
-    if kink:
-        lk, l1k = log(k), log1p(-k)
-        tk = lk - l1k - c
+    lk, l1k = (log(k), log1p(-k)) if 0.0 < k < 1.0 else (0.0, 0.0)
     for x in xs:
         n = m - x
         q = x / m
@@ -146,35 +143,22 @@ def _pairs(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float]]:
         # Endpoints: only alpha is positive at p = 1, only beta at p = 0.
         alpha = 0.0 if n else 1.0
         beta = 0.0 if x else 1.0
-        # Each candidate p scores exp(ll + min(0, t)) for alpha and
-        # exp(ll + min(0, -t)) for beta, clipped to 1, where ll is log l(p)
-        # and t = logit(p) - c; exp(ll) is the weight-1 side.  At p = x/m,
-        # ll is exactly 0: -lognorm plus the same two terms can miss it by
-        # an ulp of lognorm, and so miss B.
-        if kink:
-            ll = 0.0 if k == q else -lognorm + x * lk + n * l1k
-            e = exp(ll)
-            a, b = (exp(ll + tk), e) if tk < 0.0 else (e, exp(ll - tk))
-            if a > alpha:
-                alpha = a if a < 1.0 else 1.0
-            if b > beta:
-                beta = b if b < 1.0 else 1.0
-        if x and n:  # p = x/m: ll = 0, so the weight-1 side scores exactly 1
+        # A candidate p scores exp(ll + min(0, t)) for alpha and exp(ll + min(0, -t))
+        # for beta, clipped to 1, with ll = log l(p) and t = logit(p) - c.  At
+        # p = x/m, ll is exactly 0: -lognorm plus the same two terms can miss 0
+        # by an ulp of lognorm, and so miss B.
+        if x and n:  # p = x/m: the weight-1 side scores exactly 1
             t = lq - l1q - c
             if t < 0.0:
                 beta = 1.0
-                a = exp(t)
-                if a > alpha:
-                    alpha = a
+                alpha = exp(t)
             else:
                 alpha = 1.0
-                b = exp(-t)
-                if b > beta:
-                    beta = b
-        for p in ((x - 1) / m, (x + 1) / m):
+                beta = exp(-t)
+        for p in (k, (x - 1) / m, (x + 1) / m):
             if 0.0 < p < 1.0:
-                lp, l1p = log(p), log1p(-p)
-                ll = -lognorm + x * lp + n * l1p
+                lp, l1p = (lk, l1k) if p is k else (log(p), log1p(-p))
+                ll = 0.0 if p == q else -lognorm + x * lp + n * l1p
                 t = lp - l1p - c
                 e = exp(ll)
                 a, b = (exp(ll + t), e) if t < 0.0 else (e, exp(ll - t))
