@@ -236,8 +236,9 @@ class TestInternalMaxima:
 
     @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
     def test_large_tables_lie_exactly_on_b(self, c):
-        # lognorm rounds by up to an ulp; taking log l(x/m) as -lognorm plus
-        # the same two terms put 528 rows of m = 23,000 off B at c = 0.
+        # log l(x/m) must be exactly 0: as -lognorm plus the same two terms it
+        # can miss by an ulp of lognorm, which passes B's 1e-12 bound from
+        # m = 23,000 at c = 0.
         m = 30_000
         assert len(emit_table(m, c)) == m + 1
         for x in range(m + 1):

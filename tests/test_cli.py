@@ -187,7 +187,8 @@ class TestDemoBinomial:
         }]
 
     def test_table_past_twenty_thousand_trials(self, capsys):
-        # At m >= 23,000 a row used to fall off B by more than 1e-12 and exit 2.
+        # From m = 23,000 an ulp of lognorm passes B's 1e-12 bound, so each
+        # row must take log l(x/m) as exactly 0 to stay on B.
         assert main(["demo-binomial", "-m", "30000", "-f", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 30_002
 
