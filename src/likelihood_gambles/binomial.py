@@ -187,25 +187,23 @@ def bayesian_prices(scenario: BinomialScenario) -> tuple[float, float, float]:
     return (x + 1) / (m + 2), (x + 0.5) / (m + 1), x / m
 
 
-def _pricing_row(scenario: BinomialScenario) -> PricingRow:
-    """The scenario's likelihood price next to its three Bayesian prices."""
-    return PricingRow(scenario.successes, likelihood_price(scenario), *bayesian_prices(scenario))
-
-
-def emit_table(m: int, c: float = 0.0) -> list[PricingRow]:
-    """All rows x = 0..m comparing the likelihood price with the Bayesian ones."""
-    c = BinomialScenario(m, 0, c).premium  # checks the trial count, then the premium
-    # bayesian_prices in line, so that a row builds no scenario.
-    return [
-        PricingRow(
+def _rows(m: int, c: float, xs: range) -> Iterator[PricingRow]:
+    """The table rows for each x in ``xs``: the likelihood price, then the Bayesian ones."""
+    for x, alpha, beta in _pairs(m, c, xs):
+        # bayesian_prices in line, so that a row builds no scenario.
+        yield PricingRow(
             x,
             price_from_vector(UtilityVector(alpha, beta), c),
             (x + 1) / (m + 2),
             (x + 0.5) / (m + 1),
             x / m,
         )
-        for x, alpha, beta in _pairs(m, c, range(m + 1))
-    ]
+
+
+def emit_table(m: int, c: float = 0.0) -> list[PricingRow]:
+    """All rows x = 0..m comparing the likelihood price with the Bayesian ones."""
+    c = BinomialScenario(m, 0, c).premium  # checks the trial count, then the premium
+    return list(_rows(m, c, range(m + 1)))
 
 
 def render_table_text(rows: list[PricingRow]) -> str:

@@ -188,7 +188,8 @@ def _cmd_demo_binomial(args: argparse.Namespace) -> int:
     if args.successes is None:
         rows = binomial.emit_table(args.trials, c)
     else:
-        rows = [binomial._pricing_row(binomial.BinomialScenario(args.trials, args.successes, c))]
+        s = binomial.BinomialScenario(args.trials, args.successes, c)
+        rows = list(binomial._rows(s.trials, s.premium, range(s.successes, s.successes + 1)))
     if args.format == "json":
         print(json.dumps([r.to_json() for r in rows]))
     elif args.format == "csv":
