@@ -169,6 +169,14 @@ class TestDemoBinomial:
         assert len(lines) == 2
         assert lines[1].split() == ["3", "0.3494", "0.3333", "0.3182", "0.3000"]
 
+    @pytest.mark.parametrize("c", ["0", "-1.5", "0.3"])
+    def test_single_row_is_the_table_row(self, capsys, c):
+        assert main(["demo-binomial", "-m", "40", "-c", c, "-f", "csv"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        for x in (0, 1, 17, 39, 40):
+            assert main(["demo-binomial", "-m", "40", "-x", str(x), "-c", c, "-f", "csv"]) == 0
+            assert capsys.readouterr().out.splitlines() == [table[0], table[x + 1]]
+
     def test_csv_format(self, capsys):
         assert main(["demo-binomial", "-m", "2", "-c", "0", "-f", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
