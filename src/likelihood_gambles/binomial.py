@@ -63,7 +63,6 @@ __all__ = [
 
 # The table's column names, in the order of PricingRow's fields.
 _COLUMNS = ("x", "likelihood", "uniform", "jeffreys", "novick_hall")
-CSV_HEADER = ",".join(_COLUMNS)
 
 
 class BinomialScenario(_Record):
@@ -100,15 +99,6 @@ class PricingRow(_Record):
         return dict(zip(_COLUMNS, self._fields()))
 
 
-def _log_likelihood(p: float, m: int, x: int, start: float = 0.0) -> float:
-    """log(p^x (1-p)^(m-x)) added term by term to ``start``, with 0^0 = 1."""
-    if x:
-        start += x * math.log(p)
-    if m - x:
-        start += (m - x) * math.log1p(-p)
-    return start
-
-
 def normalized_binomial_likelihood(p: float, scenario: BinomialScenario) -> float:
     """l(p) = p^x (1-p)^(m-x) scaled so the maximum over [0, 1] is 1.
 
@@ -117,11 +107,13 @@ def normalized_binomial_likelihood(p: float, scenario: BinomialScenario) -> floa
     """
     p = _require_unit(p, "bias")
     m, x = scenario.trials, scenario.successes
-    if p == x / m:  # exactly, not as the rounded difference of two logs
+    q, n = x / m, m - x
+    if p == q:  # exactly, not as the rounded difference of two logs
         return 1.0
-    if p == 0.0 or p == 1.0:
+    if p == 0.0 or p == 1.0:  # p is now inside (0, 1): only q's logs need the 0^0 = 1 guard
         return 0.0
-    return min(1.0, math.exp(_log_likelihood(p, m, x, -_log_likelihood(x / m, m, x))))
+    lognorm = (x * math.log(q) if x else 0.0) + (n * math.log1p(-q) if n else 0.0)
+    return min(1.0, math.exp(-lognorm + x * math.log(p) + n * math.log1p(-p)))
 
 
 def _pairs(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float]]:
@@ -221,7 +213,7 @@ def render_table_text(rows: list[PricingRow]) -> str:
 
 def render_table_csv(rows: list[PricingRow]) -> str:
     """CSV with full-precision values."""
-    lines = [CSV_HEADER]
+    lines = [",".join(_COLUMNS)]
     for r in rows:
         lines.append(
             f"{r.successes},{r.likelihood!r},{r.uniform!r},{r.jeffreys!r},{r.novick_hall!r}"

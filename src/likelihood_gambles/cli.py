@@ -6,7 +6,8 @@ probability with ``--rho``.  Text output rounds to 4 decimals; JSON output
 keeps full double precision.
 
 Exit status: 0 on success, 1 when the conformance suite finds a failing
-law, 2 on argument or input errors.
+law, 2 on argument, input or output errors, 141 (128 + SIGPIPE) when
+stdout's reader closes it early.
 """
 
 from __future__ import annotations
@@ -184,12 +185,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_demo_binomial(args: argparse.Namespace) -> int:
     from . import binomial
 
-    c = _premium(args)
-    if args.successes is None:
-        rows = binomial.emit_table(args.trials, c)
-    else:
-        s = binomial.BinomialScenario(args.trials, args.successes, c)
-        rows = list(binomial._rows(s.trials, s.premium, range(s.successes, s.successes + 1)))
+    x = args.successes  # None for the whole table
+    s = binomial.BinomialScenario(args.trials, 0 if x is None else x, _premium(args))
+    xs = range(s.trials + 1) if x is None else range(x, x + 1)
+    rows = list(binomial._rows(s.trials, s.premium, xs))
     if args.format == "json":
         print(json.dumps([r.to_json() for r in rows]))
     elif args.format == "csv":
@@ -234,7 +233,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a failed write is reported here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: end as SIGPIPE would, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return 141
     except (GambleError, OSError, json.JSONDecodeError) as exc:
         print(f"lgamble: error: {exc}", file=sys.stderr)
         return 2

@@ -169,13 +169,19 @@ class TestDemoBinomial:
         assert len(lines) == 2
         assert lines[1].split() == ["3", "0.3494", "0.3333", "0.3182", "0.3000"]
 
-    @pytest.mark.parametrize("c", ["0", "-1.5", "0.3"])
+    @pytest.mark.parametrize("c", ["-700", "-1.5", "0", "0.3", "700"])
     def test_single_row_is_the_table_row(self, capsys, c):
-        assert main(["demo-binomial", "-m", "40", "-c", c, "-f", "csv"]) == 0
-        table = capsys.readouterr().out.splitlines()
-        for x in (0, 1, 17, 39, 40):
-            assert main(["demo-binomial", "-m", "40", "-x", str(x), "-c", c, "-f", "csv"]) == 0
-            assert capsys.readouterr().out.splitlines() == [table[0], table[x + 1]]
+        for fmt in ("text", "csv", "json"):
+            assert main(["demo-binomial", "-m", "40", "-c", c, "-f", fmt]) == 0
+            table = capsys.readouterr().out
+            for x in (0, 1, 17, 39, 40):
+                assert main(["demo-binomial", "-m", "40", "-x", str(x), "-c", c, "-f", fmt]) == 0
+                row = capsys.readouterr().out
+                if fmt == "json":
+                    assert row == json.dumps([json.loads(table)[x]]) + "\n"
+                else:
+                    lines = table.splitlines()
+                    assert row.splitlines() == [lines[0], lines[x + 1]]
 
     def test_csv_format(self, capsys):
         assert main(["demo-binomial", "-m", "2", "-c", "0", "-f", "csv"]) == 0
@@ -203,6 +209,23 @@ class TestDemoBinomial:
     def test_invalid_count_is_an_input_error(self, capsys):
         assert main(["demo-binomial", "-m", "10", "-x", "11"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["-m", "0"], "trials must be a positive integer, got 0"),
+            (["-m", "10", "-x", "-1"], "successes must be an integer in [0, 10], got -1"),
+            (["-m", "10", "-x", "11"], "successes must be an integer in [0, 10], got 11"),
+            (["-m", "0", "-x", "11", "-c", "800"], "trials must be a positive integer, got 0"),
+            (["-m", "10", "-x", "11", "-c", "800"],
+             "successes must be an integer in [0, 10], got 11"),
+            (["-m", "10", "-c", "800"], "ambiguity premium must satisfy |c| <= 700.0, got 800.0"),
+        ],
+        ids=["no-trials", "negative-x", "x-past-m", "trials-first", "successes-second",
+             "premium-last"],
+    )
+    def test_arguments_are_checked_in_order(self, capsys, argv, message):
+        assert run_cli(capsys, ["demo-binomial", *argv]) == (2, "", f"lgamble: error: {message}\n")
 
     def test_runs_without_numpy(self):
         # numpy is a test-only dependency: the CLI must import and price
@@ -331,6 +354,60 @@ class TestErrorHandling:
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("lgamble: error:")
             assert bound in lines[0]
+
+
+def lgamble_process(argv, **streams) -> subprocess.Popen:
+    """Start ``lgamble argv`` in a new interpreter that imports this tree's package."""
+    src = str(Path(likelihood_gambles.__file__).resolve().parents[1])
+    script = (
+        f"import sys\nsys.path.insert(0, {src!r})\n"
+        f"from likelihood_gambles.cli import main\nsys.exit(main({argv!r}))\n"
+    )
+    return subprocess.Popen([sys.executable, "-c", script], **streams)
+
+
+class TestOutputErrors:
+    """A reader that closes stdout early ends the command quietly with 141;
+    any other failed write is an error, exit 2 with one line."""
+
+    def closed_after_ten_bytes(self, tmp_path, argv):
+        with open(tmp_path / "err", "w+b") as err:
+            proc = lgamble_process(argv, stdout=subprocess.PIPE, stderr=err)
+            head = proc.stdout.read(10)
+            proc.stdout.close()  # the rest of the output meets a closed pipe
+            code = proc.wait(timeout=120)
+            err.seek(0)
+            return code, head, err.read()
+
+    def test_a_closed_pipe_ends_the_table_quietly(self, tmp_path):
+        # About 750 KB of CSV, more than a pipe holds, so the write must fail.
+        code, head, err = self.closed_after_ten_bytes(
+            tmp_path, ["demo-binomial", "-m", "30000", "-f", "csv"])
+        assert (code, head, err) == (141, b"x,likeliho", b"")
+
+    def test_a_closed_pipe_ends_reduce_quietly(self, tmp_path):
+        wide = {"prospects": [
+            prospect_entry(1.0 - i / 400, {"prospects": [
+                prospect_entry(1.0 - j / 200, {"constant": (200 * i + j) / 80_000})
+                for j in range(200)
+            ]})
+            for i in range(200)
+        ]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide), encoding="utf-8")
+        assert path.stat().st_size >= 1 << 20
+        code, head, err = self.closed_after_ten_bytes(tmp_path, ["reduce", str(path)])
+        assert (code, head, err) == (141, b'{"prospect', b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("trials", ["10", "30000"])
+    def test_a_full_device_is_an_error(self, trials):
+        with open("/dev/full", "wb") as full:
+            proc = lgamble_process(["demo-binomial", "-m", trials, "-f", "csv"],
+                                   stdout=full, stderr=subprocess.PIPE)
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert err.decode().splitlines() == ["lgamble: error: [Errno 28] No space left on device"]
 
 
 # Files whose reduction and price depend on which of 0.0 and -0.0 the leaf
