@@ -38,7 +38,7 @@ the Novick-Hall prior.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .gambles import GambleError, _Record, _require_unit, _set
 from .pricing import (
@@ -198,7 +198,7 @@ def emit_table(m: int, c: float = 0.0) -> list[PricingRow]:
     return list(_rows(m, c, range(m + 1)))
 
 
-def render_table_text(rows: list[PricingRow]) -> str:
+def render_table_text(rows: Iterable[PricingRow]) -> str:
     """Aligned plain-text table with 4-decimal entries."""
     header = f"{'x':>4}  {'likelihood':>10}  {'uniform':>8}  {'jeffreys':>8}  {'novick_hall':>11}"
     lines = [header]
@@ -211,7 +211,7 @@ def render_table_text(rows: list[PricingRow]) -> str:
     return "\n".join(lines)
 
 
-def render_table_csv(rows: list[PricingRow]) -> str:
+def render_table_csv(rows: Iterable[PricingRow]) -> str:
     """CSV with full-precision values."""
     lines = [",".join(_COLUMNS)]
     for r in rows:

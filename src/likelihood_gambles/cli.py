@@ -188,7 +188,7 @@ def _cmd_demo_binomial(args: argparse.Namespace) -> int:
     x = args.successes  # None for the whole table
     s = binomial.BinomialScenario(args.trials, 0 if x is None else x, _premium(args))
     xs = range(s.trials + 1) if x is None else range(x, x + 1)
-    rows = list(binomial._rows(s.trials, s.premium, xs))
+    rows = binomial._rows(s.trials, s.premium, xs)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in rows]))
     elif args.format == "csv":

@@ -21,6 +21,7 @@ corresponding law reports failures instead of raising.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import math
 import random
@@ -181,13 +182,10 @@ def _instance_seed(seed: int, name: str, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Ctx(_Record):
-    __slots__ = ("premium", "config", "pair")
+class _Ctx(collections.namedtuple("_Ctx", ("premium", "config", "pair"))):
+    """A run's premium, generator config and (alpha, beta) evaluator."""
 
-    def __init__(self, premium: float, config: GenConfig, pair: PairFn) -> None:
-        _set(self, "premium", premium)
-        _set(self, "config", config)
-        _set(self, "pair", pair)
+    __slots__ = ()
 
     def gamble(self, rng: random.Random) -> Gamble:
         return _random_gamble(rng, self.config.max_depth, self.config.max_branching)
@@ -208,20 +206,8 @@ def _payload_gambles(inputs: tuple, aux: dict) -> Any:
     return gambles[0] if len(gambles) == 1 else gambles
 
 
-class _Property(_Record):
-    __slots__ = ("name", "draw", "holds", "payload")
-
-    def __init__(
-        self,
-        name: str,
-        draw: Callable[[random.Random, _Ctx], tuple[tuple, dict]],
-        holds: Callable[[tuple, dict, _Ctx], bool],
-        payload: Callable[[tuple, dict], Any] = _payload_gambles,
-    ) -> None:
-        _set(self, "name", name)
-        _set(self, "draw", draw)
-        _set(self, "holds", holds)
-        _set(self, "payload", payload)
+# draw(rng, ctx) -> (inputs, aux); holds(inputs, aux, ctx) -> bool; payload(inputs, aux).
+_Law = collections.namedtuple("_Law", ("draw", "holds", "payload"), defaults=(_payload_gambles,))
 
 
 def _close(p: tuple[float, float], q: tuple[float, float]) -> bool:
@@ -527,34 +513,30 @@ def _check_totality(inputs: tuple, aux: dict, ctx: _Ctx) -> bool:
     return compare(u, u) == "equal"
 
 
-_PROPERTIES: tuple[_Property, ...] = (
-    _Property("normalization", _draw(1), _check_normalization),
-    _Property("flatten_soundness", _draw(1), _check_flatten_soundness),
-    _Property("flatten_preserves_utility", _draw(1), _check_flatten_utility),
-    _Property("idempotence", _draw_idempotence, _check_idempotence),
-    _Property("partition_substitution", _draw_partition, _check_partition),
-    _Property("bounds", _draw(1), _check_bounds),
-    _Property("weak_independence", _draw_independence, _check_independence),
-    _Property("transitivity", _draw(3), _check_transitivity),
-    _Property("numerical_order", _draw_constants, _check_numerical_order),
-    _Property("archimedean_witness", _draw(3), _check_archimedean),
-    _Property("price_roundtrip", _draw_roundtrip, _check_roundtrip),
-    _Property("canonical_price_equality", _draw(1), _check_canonical_price),
-    _Property(
-        "price_monotonicity", _draw_monotonicity, _check_price_monotonicity, _payload_monotonicity
-    ),
-    _Property("zero_prospect_inert", _draw(2), _check_zero_prospect),
-    _Property("evidence_scaling", _draw_evidence_scaling, _check_evidence_scaling, _payload_evidence),
-    _Property(
-        "model_permutation", _draw_model_permutation, _check_model_permutation, _payload_evidence
-    ),
-    _Property("compare_totality", _draw(2), _check_totality),
-)
+_PROPERTIES: dict[str, _Law] = {
+    "normalization": _Law(_draw(1), _check_normalization),
+    "flatten_soundness": _Law(_draw(1), _check_flatten_soundness),
+    "flatten_preserves_utility": _Law(_draw(1), _check_flatten_utility),
+    "idempotence": _Law(_draw_idempotence, _check_idempotence),
+    "partition_substitution": _Law(_draw_partition, _check_partition),
+    "bounds": _Law(_draw(1), _check_bounds),
+    "weak_independence": _Law(_draw_independence, _check_independence),
+    "transitivity": _Law(_draw(3), _check_transitivity),
+    "numerical_order": _Law(_draw_constants, _check_numerical_order),
+    "archimedean_witness": _Law(_draw(3), _check_archimedean),
+    "price_roundtrip": _Law(_draw_roundtrip, _check_roundtrip),
+    "canonical_price_equality": _Law(_draw(1), _check_canonical_price),
+    "price_monotonicity": _Law(_draw_monotonicity, _check_price_monotonicity, _payload_monotonicity),
+    "zero_prospect_inert": _Law(_draw(2), _check_zero_prospect),
+    "evidence_scaling": _Law(_draw_evidence_scaling, _check_evidence_scaling, _payload_evidence),
+    "model_permutation": _Law(_draw_model_permutation, _check_model_permutation, _payload_evidence),
+    "compare_totality": _Law(_draw(2), _check_totality),
+}
 
 
 def property_names() -> list[str]:
     """Names of every law the suite can check, in execution order."""
-    return [prop.name for prop in _PROPERTIES]
+    return list(_PROPERTIES)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +583,7 @@ def _trials(inputs: tuple) -> Iterable[tuple]:
             yield inputs[:i] + (candidate,) + inputs[i + 1 :]
 
 
-def _shrink(inputs: tuple, aux: dict, prop: _Property, ctx: _Ctx) -> tuple:
+def _shrink(inputs: tuple, aux: dict, prop: _Law, ctx: _Ctx) -> tuple:
     while True:
         for trial in _trials(inputs):
             try:
@@ -683,14 +665,15 @@ _MIN_INSTANCES_PER_WORKER = 1000
 _StrideOutcome = list[tuple[int, tuple[int, int, Any] | None]]
 
 
-def _run_stride(selected: Sequence[_Property], ctx: _Ctx, start: int, step: int) -> _StrideOutcome:
+def _run_stride(selected: Sequence[str], ctx: _Ctx, start: int, step: int) -> _StrideOutcome:
     """Replay instances start, start + step, ... of every selected law."""
     outcome = []
-    for prop in selected:
+    for name in selected:
+        prop = _PROPERTIES[name]
         failures = 0
         first = None
         for index in range(start, ctx.config.samples, step):
-            seed = _instance_seed(ctx.config.seed, prop.name, index)
+            seed = _instance_seed(ctx.config.seed, name, index)
             rng = random.Random(seed)
             inputs: tuple = ()
             aux: dict = {}
@@ -724,7 +707,7 @@ def _worker_count(instances: int) -> int:
 def run_conformance(
     config: GenConfig,
     c: float = 0.0,
-    properties: Sequence[str] | None = None,
+    properties: Iterable[str] | None = None,
     utility_fn: PairFn | None = None,
 ) -> ConformanceReport:
     """Replay the preference laws on random instances and report per-law results.
@@ -736,13 +719,10 @@ def run_conformance(
     process per usable CPU; the report is the same for any number.
     """
     c = _require_premium(c)
-    selected = list(_PROPERTIES)
-    if properties is not None:
-        known = {prop.name: prop for prop in _PROPERTIES}
-        unknown = [name for name in properties if name not in known]
-        if unknown:
-            raise GambleError(f"unknown properties: {unknown}")
-        selected = [known[name] for name in properties]
+    selected = list(_PROPERTIES if properties is None else properties)
+    unknown = [name for name in selected if name not in _PROPERTIES]
+    if unknown:
+        raise GambleError(f"unknown properties: {unknown}")
     ctx = _Ctx(premium=c, config=config, pair=utility_fn or _utility_pair)
     workers = _worker_count(config.samples * len(selected))
     outcomes = None
@@ -758,10 +738,10 @@ def run_conformance(
         # The one-process run, and the rerun that raises what a stride raised.
         outcomes = [_run_stride(selected, ctx, 0, 1)]
     results = []
-    for i, prop in enumerate(selected):
+    for i, name in enumerate(selected):
         failures = sum(outcome[i][0] for outcome in outcomes)
         firsts = [outcome[i][1] for outcome in outcomes if outcome[i][1] is not None]
         # Indices differ across strides: the smallest is the one-process first failure.
         _, seed, counterexample = min(firsts, key=lambda first: first[0], default=(None,) * 3)
-        results.append(PropertyResult(prop.name, config.samples, failures, seed, counterexample))
+        results.append(PropertyResult(name, config.samples, failures, seed, counterexample))
     return ConformanceReport(tuple(results))

@@ -79,7 +79,7 @@ def zero_as_one_pair(g: Gamble, c: float) -> tuple[float, float]:
 
 
 def law(name: str):
-    return next(p for p in _PROPERTIES if p.name == name)
+    return _PROPERTIES[name]
 
 
 class TestGenerator:
@@ -206,6 +206,68 @@ class TestNormalizationLaw:
         assert law("normalization").holds((self.HIGH,), {}, None) is True
 
 
+def reward_at(index: int):
+    """A test evaluator that scores a compound gamble by the reward of its prospect at ``index``."""
+    def pair(g: Gamble, c: float) -> tuple[float, float]:
+        while not g.is_constant:
+            g = g.prospects[index].reward
+        u = canonical_of_value(g.constant, c)
+        return u.alpha, u.beta
+
+    return pair
+
+
+class TestArchimedeanWitness:
+    """f > g > h: a mixture of f and h beats g, and another loses to it."""
+
+    # The key ln(alpha/beta) of f sits 3e-12 above g's (first case) or h's
+    # 3e-12 below it (second case), so the mixture priced at index `tied`
+    # ties g within the 2e-12 tolerance, and the next one halves the weight
+    # of its prospect at index `shaded`.
+    @pytest.mark.parametrize("values, tied, shaded", [
+        ((1 / (1 + 0.3 / 0.7 * math.exp(-3e-12)), 0.7, 0.5), 0, 1),
+        ((0.5, 0.3, 1 / (1 + 0.7 / 0.3 * math.exp(3e-12))), 1, 0),
+    ], ids=["above-g", "below-g"])
+    def test_a_tied_witness_is_halved(self, values, tied, shaded):
+        mixtures = []
+
+        def recording_pair(g: Gamble, c: float) -> tuple[float, float]:
+            if not g.is_constant:
+                mixtures.append([p.likelihood for p in g.prospects])
+            return _utility_pair(g, c)
+
+        ctx = _Ctx(premium=0.0, config=GenConfig(), pair=recording_pair)
+        inputs = tuple(Gamble.from_value(x) for x in values)
+        assert law("archimedean_witness").holds(inputs, {}, ctx) is True
+        assert len(mixtures) == 3
+        assert mixtures[tied + 1][shaded] == mixtures[tied][shaded] / 2
+
+    # Scored by the last reward, no mixture beats g (h is last); scored by the
+    # first, none loses to it (f is first).
+    @pytest.mark.parametrize("index", [-1, 0], ids=["no-witness-above", "no-witness-below"])
+    def test_no_witness_in_80_halvings_fails_the_law(self, index):
+        ctx = _Ctx(premium=0.0, config=GenConfig(), pair=reward_at(index))
+        inputs = tuple(Gamble.from_value(x) for x in (0.9, 0.6, 0.2))
+        assert law("archimedean_witness").holds(inputs, {}, ctx) is False
+
+
+class TestConstantsDraw:
+    class StubRandom:
+        def __init__(self, *values):
+            self.values = list(values)
+
+        def random(self):
+            return self.values.pop(0)
+
+    def test_a_gap_below_1e_11_is_widened(self):
+        rng = self.StubRandom(0.9, 0.3 + 5e-12, 0.3)
+        ctx = _Ctx(premium=0.0, config=GenConfig(), pair=_utility_pair)
+        inputs, aux = law("numerical_order").draw(rng, ctx)
+        x, y = (g.constant for g in inputs)
+        assert (x, y) == (0.3 + 5e-12, 0.3 + 5e-12 - 0.01)
+        assert law("numerical_order").holds(inputs, aux, ctx) is True
+
+
 class TestShrinkingFaultyDraws:
     """A shrink candidate that fails a constructor's check is skipped, so a
     builder fault is reported, not raised."""
@@ -320,6 +382,14 @@ class TestSuiteOnRealUtility:
         with pytest.raises(GambleError):
             run_conformance(GenConfig(samples=1), properties=["no_such_law"])
 
+    def test_a_one_shot_iterable_is_read_once(self):
+        report = run_conformance(GenConfig(samples=5), properties=iter(["bounds"]))
+        assert [(r.name, r.samples) for r in report.results] == [("bounds", 5)]
+
+    def test_an_unknown_name_in_a_generator_is_rejected(self):
+        with pytest.raises(GambleError, match="nope"):
+            run_conformance(GenConfig(samples=5), properties=(n for n in ["bounds", "nope"]))
+
     def test_report_json_schema(self):
         report = run_conformance(GenConfig(seed=3, samples=5), c=0.0)
         payload = report.to_json()
@@ -389,7 +459,7 @@ class TestMutationDetection:
         )
         (result,) = report.results
         counterexample = gamble_from_json(result.counterexample)
-        prop = next(p for p in _PROPERTIES if p.name == "flatten_preserves_utility")
+        prop = _PROPERTIES["flatten_preserves_utility"]
         ctx = _Ctx(premium=0.0, config=GenConfig(seed=77, samples=150, max_depth=4), pair=sum_pair)
         assert not prop.holds((counterexample,), {}, ctx)
         for candidate in _shrink_candidates(counterexample):

@@ -433,6 +433,16 @@ class TestEquality:
         assert Gamble.from_value(0.5) == Gamble.from_value(0.5)
         assert Gamble.from_value(0.5) != Gamble.from_value(0.6)
 
+    def test_a_non_gamble_is_left_to_the_other_operand(self):
+        class EqualToAnything:
+            def __eq__(self, other):
+                return True
+
+        g = Gamble.from_value(0.5)
+        assert g.__eq__(0.5) is NotImplemented
+        assert g != 0.5 and g != "0.5" and g != None  # noqa: E711
+        assert g == EqualToAnything()
+
     def test_maximum_within_tolerance_of_one_is_renormalized(self):
         g = Gamble.from_prospects([(1 - 5e-13, 0.3), (0.5, 0.7)])
         flat = flatten(g)
