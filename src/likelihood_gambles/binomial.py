@@ -124,7 +124,11 @@ def _pairs(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float]]:
     """
     log, log1p, exp = math.log, math.log1p, math.exp
     k = inverse_logit(c)
-    lk, l1k = (log(k), log1p(-k)) if 0.0 < k < 1.0 else (0.0, 0.0)
+    if c > 0.0:  # k rounds to 1 from c = 36.7, and log1p(-k) loses bits before that
+        lk = -log1p(exp(-c))
+        l1k = lk - c
+    else:
+        lk, l1k = log(k), log1p(-k)
     for x in xs:
         n = m - x
         q = x / m
@@ -148,16 +152,20 @@ def _pairs(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float]]:
                 alpha = 1.0
                 beta = exp(-t)
         for p in (k, (x - 1) / m, (x + 1) / m):
-            if 0.0 < p < 1.0:
-                lp, l1p = (lk, l1k) if p is k else (log(p), log1p(-p))
-                ll = 0.0 if p == q else -lognorm + x * lp + n * l1p
-                t = lp - l1p - c
-                e = exp(ll)
-                a, b = (exp(ll + t), e) if t < 0.0 else (e, exp(ll - t))
-                if a > alpha:
-                    alpha = a if a < 1.0 else 1.0
-                if b > beta:
-                    beta = b if b < 1.0 else 1.0
+            if p is k:  # always inside (0, 1), even where k has rounded to 1
+                lp, l1p = lk, l1k
+            elif 0.0 < p < 1.0:
+                lp, l1p = log(p), log1p(-p)
+            else:
+                continue
+            ll = 0.0 if p == q < 1.0 else -lognorm + x * lp + n * l1p
+            t = lp - l1p - c
+            e = exp(ll)
+            a, b = (exp(ll + t), e) if t < 0.0 else (e, exp(ll - t))
+            if a > alpha:
+                alpha = a if a < 1.0 else 1.0
+            if b > beta:
+                beta = b if b < 1.0 else 1.0
         yield x, alpha, beta
 
 

@@ -74,36 +74,47 @@ def oracle_price(m: int, x: int, c: float, points: int = 1_000_001) -> float:
     return 1.0 / (1.0 + math.exp(-t)) if t >= 0 else math.exp(t) / (1.0 + math.exp(t))
 
 
+def kink_logs(c: float) -> tuple[float, float]:
+    """log p* and log(1 - p*) at the kink p* = inverse_logit(c), taken from c:
+    for c > 0 the float p* rounds to 1 from c = 36.7."""
+    if c > 0.0:
+        lk = -math.log1p(math.exp(-c))
+        return lk, lk - c
+    k = inverse_logit(c)
+    return math.log(k), math.log1p(-k)
+
+
 def per_component_max(m: int, x: int, c: float, sign: float) -> float:
     """One component (alpha for sign +1, beta for -1) at its own candidates only:
     the endpoints, the kink, x/m and (x + sign)/m, each solved separately.
-    The log-likelihood is exactly 0 at x/m, where the likelihood peaks."""
+    The log-likelihood is exactly 0 at x/m, where the likelihood peaks.  The
+    kink is evaluated through its logs, never through its rounded float."""
     lognorm = 0.0
     if x:
         lognorm += x * math.log(x / m)
     if m - x:
         lognorm += (m - x) * math.log1p(-x / m)
 
-    def objective(p: float) -> float:
-        if p <= 0.0:
-            return (1.0 if x == 0 else 0.0) if sign < 0 else 0.0
-        if p >= 1.0:
-            return (1.0 if x == m else 0.0) if sign > 0 else 0.0
-        if p == x / m:
+    def objective(lp: float, l1p: float, at_mode: bool) -> float:
+        if at_mode:
             ll = 0.0
         else:
             ll = -lognorm
             if x:
-                ll += x * math.log(p)
+                ll += x * lp
             if m - x:
-                ll += (m - x) * math.log1p(-p)
-        t = sign * (math.log(p) - math.log1p(-p) - c)
+                ll += (m - x) * l1p
+        t = sign * (lp - l1p - c)
         return min(1.0, math.exp(ll + min(0.0, t)))
 
-    candidates = [0.0, 1.0, inverse_logit(c), x / m]
-    if 0 <= x + sign <= m:
-        candidates.append((x + sign) / m)
-    return max(objective(p) for p in candidates)
+    values = [(1.0 if x == 0 else 0.0) if sign < 0 else (1.0 if x == m else 0.0)]
+    k = inverse_logit(c)
+    values.append(objective(*kink_logs(c), at_mode=k == x / m < 1.0))
+    for j in {x, x + int(sign)}:
+        if 0 < j < m:
+            p = j / m
+            values.append(objective(math.log(p), math.log1p(-p), at_mode=j == x))
+    return max(values)
 
 
 class TestScenario:
@@ -273,6 +284,24 @@ class TestLikelihoodPrice:
                     BinomialScenario(m, m - x, -c)
                 )
                 assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [10, 1000])
+    @pytest.mark.parametrize("c", [20.0, 30.0, 36.7, 36.8, 37.0, 100.0, 700.0])
+    def test_complement_symmetry_at_large_premiums(self, m, c):
+        # From c = 36.7 the float inverse_logit(c) is 1.0, so the kink must
+        # be priced through logs taken from c, not from its float.
+        for x in range(m + 1):
+            total = likelihood_price(BinomialScenario(m, x, c)) + likelihood_price(
+                BinomialScenario(m, m - x, -c)
+            )
+            assert total == pytest.approx(1.0, abs=1e-12), (x, total)
+
+    def test_kink_past_the_rounding_of_its_float(self):
+        # A 60-digit mpmath evaluation of the same candidates gives
+        # 0.96270291653156159...; with the kink dropped the price was 0.9.
+        value = likelihood_price(BinomialScenario(10, 9, 37.0))
+        assert value == pytest.approx(0.9627029165315616, abs=1e-15)
+        assert format_price(value) == "0.9627"
 
     def test_strictly_increasing_in_successes(self):
         for c in (-1.0, 0.0, 1.0):
