@@ -12,22 +12,31 @@ x/m (the binomial coefficient cancels), and the price follows from the
 logistic pricing formula.  Likelihoods are evaluated in log space so large
 ``m`` cannot underflow intermediate products.
 
-The maximizations are exact.  In log space each objective is min(A, B)
-with A = log l(p) and B = A + s (logit(p) - c), s = +1 for alpha and -1 for
-beta, and B collapses to (x+s) log p + (m-x-s) log(1-p) plus a constant.
-On each side of the kink p* = inverse_logit(c) the smaller piece is either
-concave, peaking at x/m or (x+s)/m, or monotone toward the kink (x = 0 and
-x = m are the monotone cases).  So the maximum is the best value among
-p = 0, 1, p*, x/m and (x+s)/m.  One pass evaluates both components at p*
-and x/m, (x-1)/m, (x+1)/m; that is still exact, because a component
-evaluated at the other's candidates cannot exceed its own maximum.
+In log space each objective is min(A, B) with A = log l(p) and
+B = A + s (logit(p) - c), s = +1 for alpha and -1 for beta, and B
+collapses to (x+s) log p + (m-x-s) log(1-p) plus a constant.  On each side
+of the kink p* = inverse_logit(c) the smaller piece is either concave,
+peaking at x/m or (x+s)/m, or monotone toward the kink (x = 0 and x = m
+are the monotone cases).  So each component has one maximizer.  The
+component whose weight is 1 at x/m is exactly 1 there (at x = 0 beta, and
+at x = m alpha, is 1 at the endpoint).  The other one peaks at its shifted
+mode (x+s)/m when that lies on the same side of p* as x/m, and at p* when
+it does not.  A row therefore evaluates one point besides x/m.  Where the
+shifted mode lies within ``_NEAR_TIE`` (1e-6) of p*, rounding can order the
+two values either way, so both are evaluated and the larger is kept.
 
-A table is solved in one pass over its rows: the kink p* and its logs do
-not depend on x, so they are taken once per table, and each row evaluates
-its candidates in line.  A single row (``continuous_utility_vector``) is
-the same pass over one x.  At p = x/m, log l is taken as exactly 0, not as
-the rounded difference of two equal sums, so every row lies exactly on B
-(max(alpha, beta) = 1) at any ``m``.
+The kink's logs are taken from c, not from the float p*: for c > 0,
+log p* = -log1p(exp(-c)) and log(1 - p*) = log p* - c.  The float p*
+rounds to 1 from c = 36.7, and log1p(-p*) loses bits well before that.
+
+A table is solved in one pass over its rows: the kink and its logs do not
+depend on x, so they are taken once per table.  A single row
+(``continuous_utility_vector``) is the same pass over one x.  At p = x/m,
+log l is taken as exactly 0, not as the rounded difference of two equal
+sums, so every row lies exactly on B (max(alpha, beta) = 1) at any ``m``.
+The price of each row is then taken in line, and the table is written
+through one line generator per format, which ``demo-binomial`` streams in
+batches and the renderers join.
 
 For comparison, three default-prior Bayesian prices of the same bet have
 closed forms: the posterior-mean success probabilities (x+1)/(m+2) for a
@@ -39,9 +48,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 from .gambles import GambleError, _Record, _require_unit, _set
 from .pricing import (
+    VECTOR_TOL,
     UtilityVector,
     _require_premium,
     format_price,
@@ -116,11 +127,16 @@ def normalized_binomial_likelihood(p: float, scenario: BinomialScenario) -> floa
     return min(1.0, math.exp(-lognorm + x * math.log(p) + n * math.log1p(-p)))
 
 
+# Where the shifted mode lies this close to the kink, both are evaluated: the
+# two values are then equal up to rounding, and either can be the larger.
+_NEAR_TIE = 1e-6
+
+
 def _pairs(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float]]:
     """``(x, alpha, beta)`` of the bet after x heads in m tosses, for each x in ``xs``.
 
     The kink's logs are taken once for all rows, and each row evaluates its
-    candidates in line: a call per candidate would cost more than its logs.
+    one candidate (two near a tie) in line: a call would cost more than its logs.
     """
     log, log1p, exp = math.log, math.log1p, math.exp
     k = inverse_logit(c)
@@ -129,6 +145,7 @@ def _pairs(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float]]:
         l1k = lk - c
     else:
         lk, l1k = log(k), log1p(-k)
+    tk = lk - l1k - c
     for x in xs:
         n = m - x
         q = x / m
@@ -139,10 +156,10 @@ def _pairs(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float]]:
         # Endpoints: only alpha is positive at p = 1, only beta at p = 0.
         alpha = 0.0 if n else 1.0
         beta = 0.0 if x else 1.0
-        # A candidate p scores exp(ll + min(0, t)) for alpha and exp(ll + min(0, -t))
-        # for beta, clipped to 1, with ll = log l(p) and t = logit(p) - c.  At
-        # p = x/m, ll is exactly 0: -lognorm plus the same two terms can miss 0
-        # by an ulp of lognorm, and so miss B.
+        # A point p scores exp(ll + min(0, s t)) for component s, clipped to 1,
+        # with ll = log l(p) and t = logit(p) - c.  At p = x/m, ll is exactly 0:
+        # -lognorm plus the same two terms can miss 0 by an ulp of lognorm, and
+        # so miss B.
         if x and n:  # p = x/m: the weight-1 side scores exactly 1
             t = lq - l1q - c
             if t < 0.0:
@@ -151,22 +168,32 @@ def _pairs(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float]]:
             else:
                 alpha = 1.0
                 beta = exp(-t)
-        for p in (k, (x - 1) / m, (x + 1) / m):
-            if p is k:  # always inside (0, 1), even where k has rounded to 1
-                lp, l1p = lk, l1k
-            elif 0.0 < p < 1.0:
-                lp, l1p = log(p), log1p(-p)
-            else:
-                continue
-            ll = 0.0 if p == q < 1.0 else -lognorm + x * lp + n * l1p
-            t = lp - l1p - c
-            e = exp(ll)
-            a, b = (exp(ll + t), e) if t < 0.0 else (e, exp(ll - t))
-            if a > alpha:
-                alpha = a if a < 1.0 else 1.0
-            if b > beta:
-                beta = b if b < 1.0 else 1.0
-        yield x, alpha, beta
+        # At most one component is below 1, and its maximum is at its shifted
+        # mode j/m when d > 0, at the kink when d < 0, and at the larger of the
+        # two near a tie.
+        if alpha < 1.0:
+            s, v, j = 1.0, alpha, x + 1
+        elif beta < 1.0:
+            s, v, j = -1.0, beta, x - 1
+        else:
+            yield x, alpha, beta
+            continue
+        p = j / m
+        d = s * (k - p)
+        if d > -_NEAR_TIE and 0 < j < m:
+            lp, l1p = log(p), log1p(-p)
+            ll = -lognorm + x * lp + n * l1p
+            u = s * (lp - l1p - c)
+            e = exp(ll + u) if u < 0.0 else exp(ll)
+            if e > v:
+                v = e if e < 1.0 else 1.0
+        if d < _NEAR_TIE:
+            ll = 0.0 if k == q < 1.0 else -lognorm + x * lk + n * l1k
+            u = s * tk
+            e = exp(ll + u) if u < 0.0 else exp(ll)
+            if e > v:
+                v = e if e < 1.0 else 1.0
+        yield (x, v, beta) if s > 0.0 else (x, alpha, v)
 
 
 def continuous_utility_vector(scenario: BinomialScenario) -> UtilityVector:
@@ -187,43 +214,81 @@ def bayesian_prices(scenario: BinomialScenario) -> tuple[float, float, float]:
     return (x + 1) / (m + 2), (x + 0.5) / (m + 1), x / m
 
 
-def _rows(m: int, c: float, xs: range) -> Iterator[PricingRow]:
-    """The table rows for each x in ``xs``: the likelihood price, then the Bayesian ones."""
+def _values(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float, float, float]]:
+    """A table row's fields for each x in ``xs``: the likelihood price, then the Bayesian ones.
+
+    ``UtilityVector``'s check and ``price_from_vector``'s arithmetic are
+    written in line, so that a row builds no record.
+    """
+    log, exp = math.log, math.exp
     for x, alpha, beta in _pairs(m, c, xs):
+        top = alpha if alpha > beta else beta
+        if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0 and abs(top - 1.0) <= VECTOR_TOL):
+            UtilityVector(alpha, beta)  # raises the vector's own error
+        if beta == 0.0:
+            t = math.inf
+        elif alpha == 0.0:
+            t = -math.inf
+        else:
+            t = alpha / beta
+            t = log(t) if t != math.inf else log(alpha) - log(beta)
+        t += c
+        if t >= 0.0:
+            price = 1.0 / (1.0 + exp(-t))
+        else:
+            z = exp(t)
+            price = z / (1.0 + z)
         # bayesian_prices in line, so that a row builds no scenario.
-        yield PricingRow(
-            x,
-            price_from_vector(UtilityVector(alpha, beta), c),
-            (x + 1) / (m + 2),
-            (x + 0.5) / (m + 1),
-            x / m,
-        )
+        yield x, price, (x + 1) / (m + 2), (x + 0.5) / (m + 1), x / m
 
 
 def emit_table(m: int, c: float = 0.0) -> list[PricingRow]:
     """All rows x = 0..m comparing the likelihood price with the Bayesian ones."""
     c = BinomialScenario(m, 0, c).premium  # checks the trial count, then the premium
-    return list(_rows(m, c, range(m + 1)))
+    return [PricingRow(*row) for row in _values(m, c, range(m + 1))]
+
+
+# One generator per output format turns row fields into the format's pieces,
+# each ending in its own separator; joined, they are the whole output.
+
+
+def _text_lines(rows: Iterable[tuple]) -> Iterator[str]:
+    yield f"{'x':>4}  {'likelihood':>10}  {'uniform':>8}  {'jeffreys':>8}  {'novick_hall':>11}\n"
+    for x, lik, uniform, jeffreys, novick_hall in rows:
+        yield (
+            f"{x:>4}  {format_price(lik):>10}  {format_price(uniform):>8}  "
+            f"{format_price(jeffreys):>8}  {format_price(novick_hall):>11}\n"
+        )
+
+
+def _csv_lines(rows: Iterable[tuple]) -> Iterator[str]:
+    yield ",".join(_COLUMNS) + "\n"
+    for x, lik, uniform, jeffreys, novick_hall in rows:
+        yield f"{x},{lik!r},{uniform!r},{jeffreys!r},{novick_hall!r}\n"
+
+
+def _json_lines(rows: Iterable[tuple]) -> Iterator[str]:
+    """``json.dumps`` of the rows' ``to_json`` dicts, one row per piece, and a newline."""
+    sep = "["
+    for x, lik, uniform, jeffreys, novick_hall in rows:
+        yield (
+            f'{sep}{{"x": {x}, "likelihood": {lik!r}, "uniform": {uniform!r}, '
+            f'"jeffreys": {jeffreys!r}, "novick_hall": {novick_hall!r}}}'
+        )
+        sep = ", "
+    yield "]\n"
+
+
+_LINES = {"text": _text_lines, "csv": _csv_lines, "json": _json_lines}
+
+_row_fields = attrgetter(*PricingRow.__slots__)
 
 
 def render_table_text(rows: Iterable[PricingRow]) -> str:
     """Aligned plain-text table with 4-decimal entries."""
-    header = f"{'x':>4}  {'likelihood':>10}  {'uniform':>8}  {'jeffreys':>8}  {'novick_hall':>11}"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r.successes:>4}  {format_price(r.likelihood):>10}  "
-            f"{format_price(r.uniform):>8}  {format_price(r.jeffreys):>8}  "
-            f"{format_price(r.novick_hall):>11}"
-        )
-    return "\n".join(lines)
+    return "".join(_text_lines(map(_row_fields, rows)))[:-1]
 
 
 def render_table_csv(rows: Iterable[PricingRow]) -> str:
     """CSV with full-precision values."""
-    lines = [",".join(_COLUMNS)]
-    for r in rows:
-        lines.append(
-            f"{r.successes},{r.likelihood!r},{r.uniform!r},{r.jeffreys!r},{r.novick_hall!r}"
-        )
-    return "\n".join(lines)
+    return "".join(_csv_lines(map(_row_fields, rows)))[:-1]

@@ -7,7 +7,9 @@ keeps full double precision.
 
 Exit status: 0 on success, 1 when the conformance suite finds a failing
 law, 2 on argument, input or output errors, 141 (128 + SIGPIPE) when
-stdout's reader closes it early.
+stdout's reader closes it early.  ``demo-binomial`` writes its table in
+batches of lines as it solves them, so an error mid-table exits 2 after
+the whole lines of the batches before it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import gc
 import json
 import os
 import sys
+from itertools import islice
 from typing import Sequence
 
 from .gambles import (
@@ -188,13 +191,11 @@ def _cmd_demo_binomial(args: argparse.Namespace) -> int:
     x = args.successes  # None for the whole table
     s = binomial.BinomialScenario(args.trials, 0 if x is None else x, _premium(args))
     xs = range(s.trials + 1) if x is None else range(x, x + 1)
-    rows = binomial._rows(s.trials, s.premium, xs)
-    if args.format == "json":
-        print(json.dumps([r.to_json() for r in rows]))
-    elif args.format == "csv":
-        print(binomial.render_table_csv(rows))
-    else:
-        print(binomial.render_table_text(rows))
+    # Every argument is checked by now.  The lines go out in batches as they
+    # are solved, so an error mid-table leaves the batches before it.
+    lines = binomial._LINES[args.format](binomial._values(s.trials, s.premium, xs))
+    while batch := "".join(islice(lines, 4096)):
+        sys.stdout.write(batch)
     return 0
 
 

@@ -712,17 +712,23 @@ def run_conformance(
 ) -> ConformanceReport:
     """Replay the preference laws on random instances and report per-law results.
 
-    ``properties`` restricts the run to a subset of :func:`property_names`;
+    ``properties`` restricts the run to a subset of :func:`property_names`,
+    each named once (a string is rejected, not read as letters);
     ``utility_fn`` substitutes the raw (alpha, beta) evaluator, which lets a
     test prove the suite catches a broken implementation.  Failures are
     report content, not exceptions.  A large run replays its instances in one
     process per usable CPU; the report is the same for any number.
     """
     c = _require_premium(c)
+    if isinstance(properties, str):
+        raise GambleError(f"properties must be a collection of law names, got {properties!r}")
     selected = list(_PROPERTIES if properties is None else properties)
     unknown = [name for name in selected if name not in _PROPERTIES]
     if unknown:
         raise GambleError(f"unknown properties: {unknown}")
+    repeated = sorted({name for name in selected if selected.count(name) > 1})
+    if repeated:
+        raise GambleError(f"repeated properties: {repeated}")
     ctx = _Ctx(premium=c, config=config, pair=utility_fn or _utility_pair)
     workers = _worker_count(config.samples * len(selected))
     outcomes = None

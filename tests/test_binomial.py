@@ -16,6 +16,7 @@ from likelihood_gambles import (
     GambleError,
     UtilityVector,
     bayesian_prices,
+    binomial,
     continuous_utility_vector,
     emit_table,
     format_price,
@@ -236,6 +237,22 @@ class TestInternalMaxima:
                 assert u.beta == per_component_max(m, x, c, -1.0), (m, x, c)
         assert checked > m
 
+    @pytest.mark.parametrize("trials", [range(2, 61), [999, 1000]], ids=["m<=60", "m=1000"])
+    def test_kink_on_a_shifted_mode_equals_per_component_maxima(self, trials):
+        # With the kink within an ulp of (x + 1)/m or (x - 1)/m the two
+        # candidates tie up to rounding, and each row keeps the larger.
+        checked = 0
+        for m in trials:
+            for j in range(1, m):
+                base = math.log(j / m) - math.log1p(-j / m)
+                for c in (math.nextafter(base, -math.inf), base, math.nextafter(base, math.inf)):
+                    for x in (j - 1, j + 1):
+                        checked += 1
+                        u = continuous_utility_vector(BinomialScenario(m, x, c))
+                        assert u.alpha == per_component_max(m, x, c, 1.0), (m, x, c)
+                        assert u.beta == per_component_max(m, x, c, -1.0), (m, x, c)
+        assert checked > 5000
+
     @pytest.mark.parametrize("c", [0.0, 0.7])
     def test_table_rows_equal_per_component_maxima(self, c):
         m = 10_000
@@ -404,6 +421,39 @@ class TestTable:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+class TestStreamedRows:
+    """The table's rows are priced in line and rendered by one line generator per format."""
+
+    @pytest.mark.parametrize("m", [1, 10, 1000])
+    @pytest.mark.parametrize("c", [-700.0, -1.0, 0.0, 0.3, 37.0, 700.0])
+    def test_rows_are_priced_like_price_from_vector(self, m, c):
+        for row in emit_table(m, c):
+            s = BinomialScenario(m, row.successes, c)
+            assert row.likelihood == likelihood_price(s), (m, row.successes, c)
+            assert (row.uniform, row.jeffreys, row.novick_hall) == bayesian_prices(s)
+
+    def test_an_off_b_pair_is_the_vectors_error(self, monkeypatch):
+        monkeypatch.setattr(binomial, "_pairs", lambda m, c, xs: iter([(0, 1.0, 1.5)]))
+        with pytest.raises(GambleError) as info:
+            emit_table(1, 0.0)
+        assert str(info.value) == "utility vector components must lie in [0, 1], got <1.0, 1.5>"
+
+    def test_renderers_read_any_iterable_of_rows(self):
+        rows = emit_table(3, 0.2)
+        header = "   x  likelihood   uniform  jeffreys  novick_hall"
+        assert render_table_text([]) == header
+        assert render_table_csv([]) == "x,likelihood,uniform,jeffreys,novick_hall"
+        assert render_table_text(iter(rows)) == render_table_text(rows)
+        assert render_table_csv(r for r in rows) == render_table_csv(rows)
+        last = rows[-1]
+        assert render_table_csv(rows).splitlines()[-1] == (
+            f"3,{last.likelihood!r},0.8,0.875,1.0"
+        )
+        assert render_table_text(rows).splitlines()[-1] == (
+            f"   3  {format_price(last.likelihood):>10}    0.8000    0.8750       1.0000"
+        )
 
 
 class TestFormatPrice:

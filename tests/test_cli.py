@@ -17,7 +17,7 @@ from test_conformance import no_child_left
 from test_gambles import FAULTS, MIXED, generated, levels, prospect_entry, unnormalized
 
 import likelihood_gambles
-from likelihood_gambles import _fork, cli, gambles
+from likelihood_gambles import _fork, binomial, cli, gambles
 from likelihood_gambles.cli import main
 from likelihood_gambles.gambles import (
     GambleError,
@@ -206,6 +206,45 @@ class TestDemoBinomial:
         assert main(["demo-binomial", "-m", "30000", "-f", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 30_002
 
+    @pytest.mark.parametrize("m", [1, 10, 1000])
+    @pytest.mark.parametrize("c", ["-700", "-1", "0", "0.3", "700"])
+    def test_streamed_output_is_the_rendered_table(self, capsys, m, c):
+        rows = binomial.emit_table(m, float(c))
+        for x in (None, 0, m // 2, m):
+            expected_rows = rows if x is None else [rows[x]]
+            expected = {
+                "text": binomial.render_table_text(expected_rows) + "\n",
+                "csv": binomial.render_table_csv(expected_rows) + "\n",
+                "json": json.dumps([r.to_json() for r in expected_rows]) + "\n",
+            }
+            for fmt, text in expected.items():
+                argv = ["demo-binomial", "-m", str(m), "-c", c, "-f", fmt]
+                argv += [] if x is None else ["-x", str(x)]
+                assert run_cli(capsys, argv) == (0, text, ""), (fmt, x)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_an_error_mid_table_leaves_whole_lines(self, capsys, monkeypatch, fmt):
+        # The arguments are all checked before the first row, so only a row
+        # that fails its own check can stop a table part way.
+        m, bad = 10_000, 5_000
+        solve = binomial._pairs
+        full = run_cli(capsys, ["demo-binomial", "-m", str(m), "-f", fmt])[1]
+
+        def off_b(m, c, xs):
+            for x, alpha, beta in solve(m, c, xs):
+                yield (x, 0.5, 0.5) if x == bad else (x, alpha, beta)
+
+        monkeypatch.setattr(binomial, "_pairs", off_b)
+        code, out, err = run_cli(capsys, ["demo-binomial", "-m", str(m), "-f", fmt])
+        assert code == 2
+        assert err == (
+            "lgamble: error: utility vector must satisfy max(alpha, beta) = 1, got <0.5, 0.5>\n"
+        )
+        assert out and full.startswith(out)
+        if fmt != "json":  # one line per row, each written whole
+            assert out.endswith("\n")
+            assert 1 < len(out.splitlines()) <= bad + 1
+
     def test_invalid_count_is_an_input_error(self, capsys):
         assert main(["demo-binomial", "-m", "10", "-x", "11"]) == 2
         assert "error" in capsys.readouterr().err
@@ -384,6 +423,12 @@ class TestOutputErrors:
         code, head, err = self.closed_after_ten_bytes(
             tmp_path, ["demo-binomial", "-m", "30000", "-f", "csv"])
         assert (code, head, err) == (141, b"x,likeliho", b"")
+
+    @pytest.mark.parametrize("fmt, head", [("text", b"   x  like"), ("json", b'[{"x": 0, ')])
+    def test_a_closed_pipe_ends_every_format_quietly(self, tmp_path, fmt, head):
+        # The text and JSON tables are larger than the CSV one.
+        assert self.closed_after_ten_bytes(
+            tmp_path, ["demo-binomial", "-m", "30000", "-f", fmt]) == (141, head, b"")
 
     def test_a_closed_pipe_ends_reduce_quietly(self, tmp_path):
         wide = {"prospects": [

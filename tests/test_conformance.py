@@ -390,6 +390,18 @@ class TestSuiteOnRealUtility:
         with pytest.raises(GambleError, match="nope"):
             run_conformance(GenConfig(samples=5), properties=(n for n in ["bounds", "nope"]))
 
+    def test_a_string_of_names_is_rejected(self):
+        # Read as an iterable, "bounds" would be six one-letter names.
+        with pytest.raises(GambleError) as info:
+            run_conformance(GenConfig(samples=5), properties="bounds")
+        assert str(info.value) == "properties must be a collection of law names, got 'bounds'"
+
+    def test_a_repeated_name_is_rejected(self):
+        # Run twice, a law would also be reported twice.
+        with pytest.raises(GambleError) as info:
+            run_conformance(GenConfig(samples=5), properties=["bounds", "transitivity", "bounds"])
+        assert str(info.value) == "repeated properties: ['bounds']"
+
     def test_report_json_schema(self):
         report = run_conformance(GenConfig(seed=3, samples=5), c=0.0)
         payload = report.to_json()
