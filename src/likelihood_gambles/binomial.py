@@ -249,7 +249,8 @@ def emit_table(m: int, c: float = 0.0) -> list[PricingRow]:
 
 
 # One generator per output format turns row fields into the format's pieces,
-# each ending in its own separator; joined, they are the whole output.
+# each ending in its own separator.  Joined, they are what demo-binomial
+# prints; the renderers return that without its last newline.
 
 
 def _text_lines(rows: Iterable[tuple]) -> Iterator[str]:

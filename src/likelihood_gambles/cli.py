@@ -9,7 +9,7 @@ Exit status: 0 on success, 1 when the conformance suite finds a failing
 law, 2 on argument, input or output errors, 141 (128 + SIGPIPE) when
 stdout's reader closes it early.  ``demo-binomial`` writes its table in
 batches of lines as it solves them, so an error mid-table exits 2 after
-the whole lines of the batches before it.
+the batches before it (whole lines, in text and CSV).
 """
 
 from __future__ import annotations
