@@ -34,9 +34,9 @@ depend on x, so they are taken once per table.  A single row
 (``continuous_utility_vector``) is the same pass over one x.  At p = x/m,
 log l is taken as exactly 0, not as the rounded difference of two equal
 sums, so every row lies exactly on B (max(alpha, beta) = 1) at any ``m``.
-The price of each row is then taken in line, and the table is written
-through one line generator per format, which ``demo-binomial`` streams in
-batches and the renderers join.
+Each row is then priced through its ``UtilityVector``, and the table is
+written through one line generator per format, which ``demo-binomial``
+streams in batches and the renderers join.
 
 For comparison, three default-prior Bayesian prices of the same bet have
 closed forms: the posterior-mean success probabilities (x+1)/(m+2) for a
@@ -46,13 +46,12 @@ the Novick-Hall prior.
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterable, Iterator
-from operator import attrgetter
 
 from .gambles import GambleError, _Record, _require_unit, _set
 from .pricing import (
-    VECTOR_TOL,
     UtilityVector,
     _require_premium,
     format_price,
@@ -215,29 +214,9 @@ def bayesian_prices(scenario: BinomialScenario) -> tuple[float, float, float]:
 
 
 def _values(m: int, c: float, xs: range) -> Iterator[tuple[int, float, float, float, float]]:
-    """A table row's fields for each x in ``xs``: the likelihood price, then the Bayesian ones.
-
-    ``UtilityVector``'s check and ``price_from_vector``'s arithmetic are
-    written in line, so that a row builds no record.
-    """
-    log, exp = math.log, math.exp
+    """A table row's fields for each x in ``xs``: the likelihood price, then the Bayesian ones."""
     for x, alpha, beta in _pairs(m, c, xs):
-        top = alpha if alpha > beta else beta
-        if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0 and abs(top - 1.0) <= VECTOR_TOL):
-            UtilityVector(alpha, beta)  # raises the vector's own error
-        if beta == 0.0:
-            t = math.inf
-        elif alpha == 0.0:
-            t = -math.inf
-        else:
-            t = alpha / beta
-            t = log(t) if t != math.inf else log(alpha) - log(beta)
-        t += c
-        if t >= 0.0:
-            price = 1.0 / (1.0 + exp(-t))
-        else:
-            z = exp(t)
-            price = z / (1.0 + z)
+        price = price_from_vector(UtilityVector(alpha, beta), c)
         # bayesian_prices in line, so that a row builds no scenario.
         yield x, price, (x + 1) / (m + 2), (x + 0.5) / (m + 1), x / m
 
@@ -270,26 +249,22 @@ def _csv_lines(rows: Iterable[tuple]) -> Iterator[str]:
 
 def _json_lines(rows: Iterable[tuple]) -> Iterator[str]:
     """``json.dumps`` of the rows' ``to_json`` dicts, one row per piece, and a newline."""
-    sep = "["
-    for x, lik, uniform, jeffreys, novick_hall in rows:
-        yield (
-            f'{sep}{{"x": {x}, "likelihood": {lik!r}, "uniform": {uniform!r}, '
-            f'"jeffreys": {jeffreys!r}, "novick_hall": {novick_hall!r}}}'
-        )
+    yield "["
+    sep = ""
+    for row in rows:
+        yield sep + json.dumps(dict(zip(_COLUMNS, row)))
         sep = ", "
     yield "]\n"
 
 
 _LINES = {"text": _text_lines, "csv": _csv_lines, "json": _json_lines}
 
-_row_fields = attrgetter(*PricingRow.__slots__)
-
 
 def render_table_text(rows: Iterable[PricingRow]) -> str:
     """Aligned plain-text table with 4-decimal entries."""
-    return "".join(_text_lines(map(_row_fields, rows)))[:-1]
+    return "".join(_text_lines(map(PricingRow._fields, rows)))[:-1]
 
 
 def render_table_csv(rows: Iterable[PricingRow]) -> str:
     """CSV with full-precision values."""
-    return "".join(_csv_lines(map(_row_fields, rows)))[:-1]
+    return "".join(_csv_lines(map(PricingRow._fields, rows)))[:-1]

@@ -86,7 +86,7 @@ class UtilityVector(_Record):
             b = _require_real(b, "utility vector beta")
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise GambleError(f"utility vector components must lie in [0, 1], got <{a}, {b}>")
-        if abs(max(a, b) - 1.0) > VECTOR_TOL:
+        if abs((a if a > b else b) - 1.0) > VECTOR_TOL:  # max(a, b) without its call
             raise GambleError(f"utility vector must satisfy max(alpha, beta) = 1, got <{a}, {b}>")
         _set_alpha(self, a)
         _set_beta(self, b)

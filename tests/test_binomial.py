@@ -6,6 +6,7 @@ maximizer.  Dense-grid agreement at the full published scale lives in the
 acceptance suite; here a coarser grid keeps the checks fast.
 """
 
+import json
 import math
 
 import numpy as np
@@ -424,7 +425,7 @@ class TestTable:
 
 
 class TestStreamedRows:
-    """The table's rows are priced in line and rendered by one line generator per format."""
+    """Rows are priced through their vectors and rendered by one line generator per format."""
 
     @pytest.mark.parametrize("m", [1, 10, 1000])
     @pytest.mark.parametrize("c", [-700.0, -1.0, 0.0, 0.3, 37.0, 700.0])
@@ -454,6 +455,12 @@ class TestStreamedRows:
         assert render_table_text(rows).splitlines()[-1] == (
             f"   3  {format_price(last.likelihood):>10}    0.8000    0.8750       1.0000"
         )
+
+    def test_json_pieces_join_to_json_dumps(self):
+        rows = emit_table(3, 0.2)
+        pieces = binomial._json_lines(map(binomial.PricingRow._fields, rows))
+        assert "".join(pieces) == json.dumps([r.to_json() for r in rows]) + "\n"
+        assert "".join(binomial._json_lines([])) == "[]\n"
 
 
 class TestFormatPrice:
